@@ -23,10 +23,13 @@ fn stream_budget(spec: SourceSpec, shards: usize, budget: u64) -> usize {
         .seed(1)
         .budget_bytes(Some(budget))
         .health(HealthConfig::default().without_startup_battery());
-    let mut engine = Engine::spawn(config).expect("engine spawns");
-    let bytes = engine.read_to_end().expect("healthy stream");
-    engine.join().expect("workers join");
-    bytes.len()
+    let tap = Engine::spawn(config).expect("engine spawns").into_tap();
+    // One byte past the budget: the draw comes up short once every shard ends.
+    let mut bytes = vec![0u8; budget as usize + 1];
+    let drawn = tap.draw(&mut bytes);
+    tap.shutdown().expect("workers join");
+    assert!(tap.alarms().is_empty(), "healthy stream");
+    drawn
 }
 
 fn bench_model_scaling(c: &mut Criterion) {

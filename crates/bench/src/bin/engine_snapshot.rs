@@ -303,10 +303,7 @@ fn observability_numbers() -> ObservabilityNumbers {
                     ..ObsOptions::default()
                 })
                 .health(HealthConfig::default().without_startup_battery());
-        let mut engine = Engine::spawn(config).expect("engine spawns");
-        let bytes = engine.read_to_end().expect("healthy stream");
-        assert_eq!(bytes.len() as u64, budget);
-        engine.join().expect("workers join");
+        assert_eq!(drain(config), budget);
         budget as f64 / start.elapsed().as_secs_f64() / 1.0e6
     };
     // Warm-up run on each toggle sizes every buffer before measuring.
@@ -353,17 +350,17 @@ fn pool_numbers() -> PoolNumbers {
             .fault(plan)
             .health(HealthConfig::default().without_startup_battery());
         let start = Instant::now();
-        let mut engine = Engine::spawn(config).expect("engine spawns");
-        let bytes = engine.read_to_end().expect("the pool keeps serving");
-        assert_eq!(bytes.len() as u64, budget);
+        let tap = Engine::spawn(config).expect("engine spawns").into_tap();
+        let mut bytes = vec![0u8; budget as usize];
+        assert_eq!(tap.draw(&mut bytes), bytes.len(), "the pool keeps serving");
         let secs = start.elapsed().as_secs_f64();
-        let snapshot = engine.metrics().snapshot();
-        let cycled = snapshot
+        let cycled = tap
+            .metrics_snapshot()
             .pool_children
             .iter()
             .map(|child| child.status.reinstatements as usize)
             .sum::<usize>();
-        engine.join().expect("workers join");
+        tap.shutdown().expect("workers join");
         (budget as f64 / secs / 1.0e6, cycled)
     };
     const DRILL: &str = "child=1,kind=stuck,at=2KiB,for=1KiB";
@@ -418,12 +415,31 @@ fn engine_mb_s_conditioned(
             .conditioner(conditioner.clone())
             .min_output_entropy(min_h)
             .health(HealthConfig::default().without_startup_battery());
-        let mut engine = Engine::spawn(config).expect("engine spawns");
-        let bytes = engine.read_to_end().expect("healthy stream");
-        assert_eq!(bytes.len() as u64, budget);
-        engine.join().expect("workers join");
+        assert_eq!(drain(config), budget);
     });
     budget as f64 / secs / 1.0e6
+}
+
+/// Runs a budgeted engine to the end of its stream and returns the byte count,
+/// asserting that no shard alarmed.
+fn drain(config: EngineConfig) -> u64 {
+    let tap = Engine::spawn(config).expect("engine spawns").into_tap();
+    let mut buffer = vec![0u8; 64 << 10];
+    let mut total = 0u64;
+    loop {
+        let drawn = tap.draw(&mut buffer);
+        total += drawn as u64;
+        if drawn < buffer.len() {
+            break;
+        }
+    }
+    tap.shutdown().expect("workers join");
+    assert!(
+        tap.alarms().is_empty(),
+        "healthy stream: {:?}",
+        tap.alarms()
+    );
+    total
 }
 
 fn source_mbit_s(config: EroTrngConfig, bits_per_call: usize, calls: usize) -> f64 {
@@ -499,11 +515,8 @@ fn every_lane_overhead() -> (f64, f64, f64, usize) {
                 .audit_every_lane(every_lane)
                 .health(HealthConfig::default().without_startup_battery());
         let start = Instant::now();
-        let mut engine = Engine::spawn(config).expect("engine spawns");
-        let bytes = engine.read_to_end().expect("healthy stream");
-        assert_eq!(bytes.len() as u64, budget);
+        assert_eq!(drain(config), budget);
         let secs = start.elapsed().as_secs_f64();
-        engine.join().expect("workers join");
         budget as f64 / secs / 1.0e6
     };
     // A short warm-up run on each variant sizes every buffer before measuring.

@@ -8,17 +8,18 @@
 //!   sweeping accumulation depths across the paper's `r_N = K/(K+N)` regime, and a fast
 //!   calibrated stochastic-model source for scale testing,
 //! * [`pool`] — a sharded worker pool: one independently-seeded source per shard, each
-//!   feeding a bounded byte channel with batching and backpressure, its bits streamed
+//!   feeding a bounded batch channel with backpressure under a hard byte budget, its
+//!   bits streamed
 //!   through a declarative conditioning pipeline ([`pool::ConditionerSpec`]: XOR
 //!   decimation, von Neumann, SHA-256 vetted conditioning) that folds an end-to-end
 //!   entropy ledger from the source's dependent-jitter bound to the emitted bytes and
 //!   refuses emission when the accounted entropy misses the configured floor,
-//! * [`stream`] — the consumer side: ordered batches of packed bytes with shard
-//!   attribution and a hard byte budget,
-//! * [`tap`] — a shareable multi-consumer view of the stream ([`tap::EntropyTap`]):
-//!   blocking and non-blocking byte draws from any number of threads, with the
-//!   conditioned-output entropy ledger and the alarm trail attached — the interface
-//!   the `ptrng-serve` HTTP layer is built on,
+//! * [`stream`] — the workers' output plumbing: bit packing and the shared byte
+//!   budget,
+//! * [`tap`] — the one consumer of engine output ([`tap::EntropyTap`]): byte draws
+//!   from any number of threads, with the conditioned-output entropy ledger and the
+//!   alarm trail attached — the interface both `ptrngd` and the `ptrng-serve` HTTP
+//!   layer are built on,
 //! * [`expanded`] — the SP 800-90A Hash_DRBG expansion tier
 //!   ([`expanded::ExpandedTap`]): ledger-accounted seeds, policy-driven reseeding
 //!   and a hard per-seed output allowance, decoupling serving throughput from the
@@ -53,10 +54,12 @@
 //!     .shards(2)
 //!     .budget_bytes(Some(4096))
 //!     .seed(7);
-//! let mut engine = Engine::spawn(config)?;
-//! let bytes = engine.read_to_end()?;
-//! engine.join()?;
-//! assert_eq!(bytes.len(), 4096);
+//! let tap = Engine::spawn(config)?.into_tap();
+//! let mut bytes = vec![0u8; 8192];
+//! // The budget ends the stream, so the draw comes up short.
+//! assert_eq!(tap.draw(&mut bytes), 4096);
+//! assert!(tap.alarms().is_empty());
+//! tap.shutdown()?;
 //! # Ok(())
 //! # }
 //! ```
@@ -116,17 +119,6 @@ pub enum EngineError {
         /// (the `ptrng-serve` HTTP 503 body) or `Display` for humans.
         ledger: Box<ptrng_trng::conditioning::EntropyLedger>,
     },
-    /// A shard's health monitor raised an alarm.
-    #[error("health alarm on shard {shard}: {reason}")]
-    HealthAlarm {
-        /// Index of the alarming shard.
-        shard: usize,
-        /// Typed alarm classification (stable codes; see
-        /// [`metrics::AlarmKind::code`]).
-        kind: metrics::AlarmKind,
-        /// Human-readable alarm reason.
-        reason: String,
-    },
     /// A shard worker terminated abnormally.
     #[error("shard worker {shard} panicked")]
     WorkerPanicked {
@@ -166,7 +158,6 @@ pub mod prelude {
     pub use crate::pool::{ConditionerSpec, Engine, EngineConfig, ObsOptions, StageSpec};
     pub use crate::pooled::{PoolOptions, PoolSource};
     pub use crate::source::{ChildStatus, EntropySource, JitterProfile, SourceEvent, SourceSpec};
-    pub use crate::stream::Batch;
     pub use crate::tap::EntropyTap;
     pub use crate::{EngineError, Result};
     pub use ptrng_trng::conditioning::{ConditioningChain, ConditioningStage, EntropyLedger};
@@ -178,12 +169,8 @@ mod tests {
 
     #[test]
     fn errors_render_readable_messages() {
-        let e = EngineError::HealthAlarm {
-            shard: 3,
-            kind: metrics::AlarmKind::Thermal,
-            reason: "thermal collapse".to_string(),
-        };
-        assert!(e.to_string().contains("shard 3"));
+        let e = EngineError::WorkerPanicked { shard: 3 };
+        assert!(e.to_string().contains("worker 3"));
         let e: EngineError = ptrng_osc::OscError::InvalidParameter {
             name: "x",
             reason: "bad".to_string(),

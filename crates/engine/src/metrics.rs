@@ -122,6 +122,12 @@ pub struct ShardAlarm {
     pub reason: String,
 }
 
+impl std::fmt::Display for ShardAlarm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "health alarm on shard {}: {}", self.shard, self.reason)
+    }
+}
+
 /// Per-shard counters, updated by the worker without locks.
 #[derive(Debug, Default)]
 pub struct ShardMetrics {

@@ -12,7 +12,7 @@
 //!   shards; workers stop as soon as the budget is spent.
 //! * **Health gating** — raw bits pass through the shard's [`HealthMonitor`] *before*
 //!   conditioning; output is withheld until the startup battery passes, and an
-//!   alarm terminates the shard with an error on the stream.
+//!   alarm terminates the shard (recorded on the metrics alarm trail at alarm time).
 //! * **Entropy accounting** — every shard's pipeline carries an
 //!   [`EntropyLedger`]: seeded from the source's model-backed (dependent-jitter-aware)
 //!   claim, folded through the configured [`ConditionerSpec`], calibrating the
@@ -22,7 +22,6 @@
 
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -40,7 +39,8 @@ use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::metrics::{AlarmKind, EngineMetrics};
 use crate::observatory::Observatory;
 use crate::source::{derive_seed, EntropySource, SourceSpec};
-use crate::stream::{Batch, BitPacker, ByteBudget, ByteStream, Message};
+use crate::stream::{BitPacker, ByteBudget};
+use crate::tap::EntropyTap;
 use crate::{EngineError, Result};
 
 /// One conditioning stage of a shard's pipeline, in declarative (serializable) form.
@@ -421,13 +421,9 @@ impl EngineConfig {
     }
 }
 
-/// A running sharded engine.
+/// A running sharded engine; consume its output through [`Engine::into_tap`].
 pub struct Engine {
-    stream: ByteStream,
-    metrics: Arc<EngineMetrics>,
-    workers: Vec<JoinHandle<()>>,
-    output_ledger: EntropyLedger,
-    obs: Arc<Observatory>,
+    tap: EntropyTap,
 }
 
 impl Engine {
@@ -531,7 +527,7 @@ impl Engine {
             .map(|ledger| HealthMonitor::new(&config.health, ledger))
             .collect::<Result<_>>()?;
 
-        let (tx, rx) = sync_channel::<Message>(config.queue_batches);
+        let (tx, rx) = sync_channel::<Vec<u8>>(config.queue_batches);
         let metrics = Arc::new(EngineMetrics::new(config.shards));
         for (shard, ledger) in output_ledgers.iter().enumerate() {
             metrics.set_entropy_per_output_bit(shard, ledger.min_entropy_per_bit());
@@ -656,84 +652,15 @@ impl Engine {
             .next()
             .expect("at least one shard was validated");
         Ok(Self {
-            stream: ByteStream::new(rx, config.shards),
-            metrics,
-            workers,
-            output_ledger,
-            obs,
+            tap: EntropyTap::new(rx, metrics, workers, output_ledger, obs),
         })
     }
 
-    /// The engine's observability surface: flight recorders, latency histograms,
-    /// postmortems and the optional journal.
-    pub fn observatory(&self) -> &Arc<Observatory> {
-        &self.obs
-    }
-
-    /// The batch stream (also reachable by iterating over `&mut Engine`).
-    pub fn stream_mut(&mut self) -> &mut ByteStream {
-        &mut self.stream
-    }
-
-    /// Shared runtime counters.
-    pub fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
-    }
-
-    /// The accounted entropy ledger of the conditioned output (identical across
-    /// shards: the spec — not the seed — determines the accounting).
-    pub fn output_ledger(&self) -> &EntropyLedger {
-        &self.output_ledger
-    }
-
-    /// Converts the engine into a shareable multi-consumer [`crate::tap::EntropyTap`]:
-    /// any number of threads can then draw bytes concurrently (the serving interface
-    /// used by `ptrng-serve`).
-    pub fn into_tap(self) -> crate::tap::EntropyTap {
-        crate::tap::EntropyTap::new(
-            self.stream,
-            self.metrics,
-            self.workers,
-            self.output_ledger,
-            self.obs,
-        )
-    }
-
-    /// Drains the stream into one byte vector (see [`ByteStream::read_to_end`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first alarm raised by any shard.
-    pub fn read_to_end(&mut self) -> Result<Vec<u8>> {
-        self.stream.read_to_end()
-    }
-
-    /// Waits for every worker to terminate.
-    ///
-    /// Call after draining the stream (or dropping interest in it): workers blocked on
-    /// a full queue unblock as soon as the receiver is dropped or drained.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a worker panicked.
-    pub fn join(self) -> Result<()> {
-        // Dropping the stream first closes the channel, unblocking workers that are
-        // still trying to publish.
-        drop(self.stream);
-        for (shard, handle) in self.workers.into_iter().enumerate() {
-            handle
-                .join()
-                .map_err(|_| EngineError::WorkerPanicked { shard })?;
-        }
-        Ok(())
-    }
-}
-
-impl Iterator for Engine {
-    type Item = Result<Batch>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.stream.next()
+    /// Converts the engine into a shareable multi-consumer [`EntropyTap`]: any
+    /// number of threads can then draw bytes concurrently (the serving interface
+    /// used by `ptrng-serve`; `ptrngd` draws from it until a draw comes up short).
+    pub fn into_tap(self) -> EntropyTap {
+        self.tap
     }
 }
 
@@ -755,7 +682,9 @@ struct ShardWorker {
     thermal_check_batches: usize,
     budget: Arc<ByteBudget>,
     metrics: Arc<EngineMetrics>,
-    tx: SyncSender<Message>,
+    /// Batch channel to the tap; dropped when the worker returns, which is how
+    /// the tap learns that the shard has ended.
+    tx: SyncSender<Vec<u8>>,
     /// Whole-batch latency probe (histogram + `batch-generated` events).
     batch_probe: Probe,
     /// Audit-battery probe for the raw lane (`audit-window` events, tag 0).
@@ -772,27 +701,23 @@ struct ShardWorker {
 impl ShardWorker {
     fn run(mut self) {
         match self.generate() {
-            Ok(()) => {
-                let _ = self.tx.send(Message::ShardDone(self.shard));
-            }
-            Err(WorkerExit::Alarm(kind, reason)) => self.alarm(kind, reason),
-            Err(WorkerExit::ConsumerGone) => {
-                let _ = self.tx.send(Message::ShardDone(self.shard));
-            }
+            Ok(()) | Err(WorkerExit::ConsumerGone) => {}
+            Err(WorkerExit::Alarm(kind, reason)) => self.alarm(kind, &reason),
             // Surface simulation failures through the alarm path: the shard can no
             // longer vouch for its output.
-            Err(WorkerExit::Source(error)) => {
-                self.alarm(AlarmKind::SourceFailure, format!("source failure: {error}"))
-            }
+            Err(WorkerExit::Source(error)) => self.alarm(
+                AlarmKind::SourceFailure,
+                &format!("source failure: {error}"),
+            ),
         }
     }
 
-    /// Non-terminal observability path: captures the postmortem (flight-recorder
-    /// snapshot plus the ledger in force), journals it and records the typed alarm
-    /// on the metrics — without terminating the stream.  Pool quarantine and
-    /// reinstatement events take this path; terminal alarms go through
-    /// [`ShardWorker::alarm`], which adds the stream message.
-    fn notice(&self, kind: AlarmKind, reason: &str) {
+    /// Records an alarm: captures the postmortem (flight-recorder snapshot plus
+    /// the ledger in force), journals it and appends the typed alarm to the
+    /// metrics trail — the one place consumers learn of it.  Terminal alarms are
+    /// recorded just before the worker returns; pool quarantine and reinstatement
+    /// events are non-terminal and the shard keeps publishing.
+    fn alarm(&self, kind: AlarmKind, reason: &str) {
         self.recorder
             .record(EventKind::Alarm, Some(self.shard as u32), kind as u64, 0);
         let postmortem = Postmortem {
@@ -810,17 +735,6 @@ impl ShardWorker {
         self.metrics.record_alarm(self.shard, kind, reason);
     }
 
-    /// Terminal alarm path: [`ShardWorker::notice`] plus the terminal stream
-    /// message that ends the shard.
-    fn alarm(&self, kind: AlarmKind, reason: String) {
-        self.notice(kind, &reason);
-        let _ = self.tx.send(Message::Alarm {
-            shard: self.shard,
-            kind,
-            reason,
-        });
-    }
-
     /// Drains pool lifecycle events accumulated during the last fill and
     /// re-accounts the dynamic entropy claim: when children enter or leave
     /// quarantine the source's current claim changes, and the published
@@ -828,7 +742,7 @@ impl ShardWorker {
     /// honestly.  A no-op for simple sources.
     fn sync_source_state(&mut self) {
         for event in self.source.poll_events() {
-            self.notice(
+            self.alarm(
                 event.kind,
                 &format!("child {} ({}): {}", event.child, event.label, event.reason),
             );
@@ -965,25 +879,22 @@ impl ShardWorker {
             }
             packer.push_bits(processed);
 
-            let bytes = packer.drain_bytes();
+            let mut bytes = packer.drain_bytes();
             if bytes.is_empty() {
                 continue;
             }
-            let granted = self.budget.claim(bytes.len());
+            let drained = bytes.len();
+            let granted = self.budget.claim(drained);
             if granted == 0 {
                 return Ok(());
             }
-            let batch = Batch {
-                shard: self.shard,
-                bytes: bytes[..granted].to_vec(),
-                raw_bits: raw_bits_unpublished as usize,
-            };
+            bytes.truncate(granted);
             self.metrics
                 .shard(self.shard)
                 .record_batch(raw_bits_unpublished, granted as u64);
             raw_bits_unpublished = 0;
-            self.publish(batch)?;
-            if granted < bytes.len() {
+            self.publish(bytes)?;
+            if granted < drained {
                 // Budget boundary hit mid-batch; the tail is discarded by design.
                 return Ok(());
             }
@@ -1027,10 +938,8 @@ impl ShardWorker {
 
     /// Blocking send: a worker parked on a full queue is woken by the channel both
     /// when the consumer drains a slot and when the receiver is dropped.
-    fn publish(&self, batch: Batch) -> std::result::Result<(), WorkerExit> {
-        self.tx
-            .send(Message::Batch(batch))
-            .map_err(|_| WorkerExit::ConsumerGone)
+    fn publish(&self, bytes: Vec<u8>) -> std::result::Result<(), WorkerExit> {
+        self.tx.send(bytes).map_err(|_| WorkerExit::ConsumerGone)
     }
 }
 
@@ -1056,6 +965,10 @@ mod tests {
     use super::*;
     use crate::source::JitterProfile;
     use crate::stream::unpack_bits;
+    use crate::tap::drain;
+
+    /// Output bytes per batch at the default 8192-bit batch size.
+    const BATCH_BYTES: usize = 8192 / 8;
 
     fn model_config() -> EngineConfig {
         EngineConfig::new(SourceSpec::model(0.5).unwrap())
@@ -1065,64 +978,71 @@ mod tests {
 
     #[test]
     fn budget_is_respected_exactly() {
-        let mut engine =
-            Engine::spawn(model_config().shards(3).budget_bytes(Some(10_000))).unwrap();
-        let bytes = engine.read_to_end().unwrap();
+        let tap = Engine::spawn(model_config().shards(3).budget_bytes(Some(10_000)))
+            .unwrap()
+            .into_tap();
+        let bytes = drain(&tap);
         assert_eq!(bytes.len(), 10_000);
-        let snap = engine.metrics().snapshot();
+        let snap = tap.metrics_snapshot();
         assert_eq!(snap.total_output_bytes, 10_000);
         assert_eq!(snap.alarms, 0);
-        engine.join().unwrap();
+        tap.shutdown().unwrap();
     }
 
     #[test]
     fn shards_produce_distinct_streams() {
-        let mut engine =
-            Engine::spawn(model_config().shards(4).budget_bytes(Some(16_384))).unwrap();
-        let mut per_shard: Vec<Vec<u8>> = vec![Vec::new(); 4];
-        for batch in engine.stream_mut() {
-            let batch = batch.unwrap();
-            per_shard[batch.shard].extend_from_slice(&batch.bytes);
-        }
-        engine.join().unwrap();
-        for shard in &per_shard {
+        let tap = Engine::spawn(model_config().shards(4).budget_bytes(Some(16_384)))
+            .unwrap()
+            .into_tap();
+        let bytes = drain(&tap);
+        let snap = tap.metrics_snapshot();
+        tap.shutdown().unwrap();
+        for shard in &snap.per_shard {
             assert!(
-                !shard.is_empty(),
-                "every shard contributes under fair backpressure"
+                shard.output_bytes > 0,
+                "every shard contributes under fair backpressure: {snap:?}"
             );
         }
-        for a in 0..4 {
-            for b in (a + 1)..4 {
-                let len = per_shard[a].len().min(per_shard[b].len()).min(64);
-                assert_ne!(
-                    &per_shard[a][..len],
-                    &per_shard[b][..len],
-                    "shards {a} and {b} emitted identical prefixes"
-                );
-            }
+        // Independently-seeded shards never emit the same batch.
+        let blocks: Vec<&[u8]> = bytes.chunks(BATCH_BYTES).collect();
+        for (i, block) in blocks.iter().enumerate() {
+            assert!(
+                !blocks[i + 1..].contains(block),
+                "batch {i} repeats: two shards share a seed"
+            );
         }
     }
 
     #[test]
     fn engine_is_deterministic_per_seed_and_shard() {
-        let run = || {
-            let mut engine =
-                Engine::spawn(model_config().shards(2).budget_bytes(Some(4096))).unwrap();
-            let mut per_shard: Vec<Vec<u8>> = vec![Vec::new(); 2];
-            for batch in engine.stream_mut() {
-                let batch = batch.unwrap();
-                per_shard[batch.shard].extend_from_slice(&batch.bytes);
-            }
-            engine.join().unwrap();
-            per_shard
+        let run = |shards: usize| {
+            let tap = Engine::spawn(model_config().shards(shards).budget_bytes(Some(4096)))
+                .unwrap()
+                .into_tap();
+            let bytes = drain(&tap);
+            tap.shutdown().unwrap();
+            bytes
+                .chunks(BATCH_BYTES)
+                .map(<[u8]>::to_vec)
+                .collect::<Vec<_>>()
         };
-        let a = run();
-        let b = run();
-        // Interleaving is nondeterministic; per-shard prefixes are not.
-        for (x, y) in a.iter().zip(&b) {
-            let len = x.len().min(y.len());
-            assert_eq!(&x[..len], &y[..len]);
+        // Shard 0 is seeded the same whatever the shard count, so a one-shard
+        // engine's output is shard 0's stream.
+        let shard0 = run(1);
+        assert_eq!(shard0, run(1), "one shard is byte-deterministic per seed");
+        // Interleaving is nondeterministic; per-shard order is not: in every
+        // two-shard run shard 0's batches are a prefix of its stream, and shard 1's
+        // agree across runs on their common prefix.
+        let split = |blocks: Vec<Vec<u8>>| -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+            blocks.into_iter().partition(|block| shard0.contains(block))
+        };
+        let (a0, a1) = split(run(2));
+        let (b0, b1) = split(run(2));
+        for own in [&a0, &b0] {
+            assert_eq!(own[..], shard0[..own.len()]);
         }
+        let len = a1.len().min(b1.len());
+        assert_eq!(a1[..len], b1[..len]);
     }
 
     #[test]
@@ -1133,14 +1053,13 @@ mod tests {
             .seed(3)
             .health(HealthConfig::default().without_startup_battery())
             .budget_bytes(Some(1 << 20));
-        let mut engine = Engine::spawn(config).unwrap();
-        let result = engine.read_to_end();
-        assert!(
-            matches!(result, Err(EngineError::HealthAlarm { .. })),
-            "{result:?}"
-        );
-        assert_eq!(engine.metrics().snapshot().alarms, 1);
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        drain(&tap);
+        let alarms = tap.alarms();
+        assert_eq!(alarms.len(), 1, "{alarms:?}");
+        assert_eq!(alarms[0].kind, AlarmKind::RepetitionCount);
+        assert_eq!(tap.metrics_snapshot().alarms, 1);
+        tap.shutdown().unwrap();
     }
 
     #[test]
@@ -1151,16 +1070,16 @@ mod tests {
         let config = EngineConfig::new(SourceSpec::model(0.5).unwrap())
             .seed(5)
             .budget_bytes(Some(64));
-        let mut engine = Engine::spawn(config).unwrap();
-        let bytes = engine.read_to_end().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        let bytes = drain(&tap);
         assert_eq!(bytes.len(), 64);
-        let snap = engine.metrics().snapshot();
+        let snap = tap.metrics_snapshot();
         assert!(
             snap.total_raw_bits >= 20_000,
             "publication before the startup battery finished ({} raw bits)",
             snap.total_raw_bits
         );
-        engine.join().unwrap();
+        tap.shutdown().unwrap();
     }
 
     #[test]
@@ -1168,13 +1087,13 @@ mod tests {
         let config = model_config()
             .conditioner(ConditionerSpec::xor(4))
             .budget_bytes(Some(1024));
-        let mut engine = Engine::spawn(config).unwrap();
-        let bytes = engine.read_to_end().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        let bytes = drain(&tap);
         assert_eq!(bytes.len(), 1024);
-        let snap = engine.metrics().snapshot();
+        let snap = tap.metrics_snapshot();
         // 4 raw bits per output bit → at least 4 × 8 × 1024 raw bits.
         assert!(snap.total_raw_bits >= 4 * 8 * 1024);
-        engine.join().unwrap();
+        tap.shutdown().unwrap();
     }
 
     #[test]
@@ -1186,9 +1105,9 @@ mod tests {
             .batch_bits(4096)
             .budget_bytes(Some(2048))
             .health(HealthConfig::default().without_startup_battery());
-        let mut engine = Engine::spawn(config).unwrap();
-        let bytes = engine.read_to_end().unwrap();
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        let bytes = drain(&tap);
+        tap.shutdown().unwrap();
         assert_eq!(bytes.len(), 2048);
         let bits = unpack_bits(&bytes);
         let ones: usize = bits.iter().map(|&b| b as usize).sum();
@@ -1284,9 +1203,9 @@ mod tests {
             .conditioner(ConditionerSpec::sha256(2))
             .min_output_entropy(Some(0.997))
             .health(HealthConfig::default().without_startup_battery());
-        let mut engine = Engine::spawn(config).unwrap();
-        assert_eq!(engine.read_to_end().unwrap().len(), 1024);
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        assert_eq!(drain(&tap).len(), 1024);
+        tap.shutdown().unwrap();
     }
 
     #[test]
@@ -1294,10 +1213,10 @@ mod tests {
         let config = model_config()
             .conditioner(ConditionerSpec::sha256(2))
             .budget_bytes(Some(2048));
-        let mut engine = Engine::spawn(config).unwrap();
-        let bytes = engine.read_to_end().unwrap();
-        let snap = engine.metrics().snapshot();
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        let bytes = drain(&tap);
+        let snap = tap.metrics_snapshot();
+        tap.shutdown().unwrap();
         assert_eq!(bytes.len(), 2048);
         // A full-entropy model source through the vetted conditioner accounts
         // (essentially) one bit per output bit.
@@ -1321,10 +1240,10 @@ mod tests {
         let config = model_config()
             .conditioner(ConditionerSpec::parse("sha256:2").unwrap())
             .budget_bytes(Some(1024));
-        let mut engine = Engine::spawn(config).unwrap();
-        let bytes = engine.read_to_end().unwrap();
-        let snap = engine.metrics().snapshot();
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        let bytes = drain(&tap);
+        let snap = tap.metrics_snapshot();
+        tap.shutdown().unwrap();
         assert_eq!(bytes.len(), 1024);
         // Ratio 2: at least two raw bits per output bit.
         assert!(snap.total_raw_bits >= 2 * 8 * 1024);
@@ -1335,10 +1254,10 @@ mod tests {
         // Full-entropy model source, small audit window with a margin sized for it.
         let audit = AuditConfig::default().window_bits(1 << 15).margin(0.4);
         let config = model_config().audit(Some(audit)).budget_bytes(Some(8192));
-        let mut engine = Engine::spawn(config).unwrap();
-        let bytes = engine.read_to_end().unwrap();
-        let snap = engine.metrics().snapshot();
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        let bytes = drain(&tap);
+        let snap = tap.metrics_snapshot();
+        tap.shutdown().unwrap();
         assert_eq!(bytes.len(), 8192);
         assert_eq!(snap.alarms, 0);
         let raw = snap
@@ -1366,15 +1285,16 @@ mod tests {
             .audit(Some(audit))
             .budget_bytes(Some(1 << 20))
             .health(HealthConfig::default().without_startup_battery());
-        let mut engine = Engine::spawn(config).unwrap();
-        let result = engine.read_to_end();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        drain(&tap);
+        let alarms = tap.alarms();
         assert!(
-            matches!(result, Err(EngineError::HealthAlarm { ref reason, .. })
-                if reason.contains("entropy audit")),
-            "{result:?}"
+            alarms[0].kind == AlarmKind::AuditOverclaim
+                && alarms[0].reason.contains("entropy audit"),
+            "{alarms:?}"
         );
-        let snap = engine.metrics().snapshot();
-        engine.join().unwrap();
+        let snap = tap.metrics_snapshot();
+        tap.shutdown().unwrap();
         assert_eq!(snap.alarms, 1);
         let raw = snap.audits.iter().find(|a| a.lane == "raw").unwrap();
         assert_eq!(raw.overclaims, 1);
@@ -1394,10 +1314,10 @@ mod tests {
             .conditioner(ConditionerSpec::xor(2))
             .audit(Some(audit))
             .budget_bytes(Some(4096));
-        let mut engine = Engine::spawn(config).unwrap();
-        engine.read_to_end().unwrap();
-        let snap = engine.metrics().snapshot();
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        drain(&tap);
+        let snap = tap.metrics_snapshot();
+        tap.shutdown().unwrap();
         let lane = |name: &str| {
             snap.audits
                 .iter()
@@ -1436,20 +1356,14 @@ mod tests {
             .audit(Some(audit))
             .budget_bytes(Some(1 << 20))
             .health(HealthConfig::default().without_startup_battery());
-        let mut engine = Engine::spawn_with_journal(config, Some(Arc::clone(&journal))).unwrap();
-        let result = engine.read_to_end();
-        assert!(
-            matches!(
-                result,
-                Err(EngineError::HealthAlarm {
-                    kind: AlarmKind::AuditOverclaim,
-                    ..
-                })
-            ),
-            "{result:?}"
-        );
-        let obs = Arc::clone(engine.observatory());
-        engine.join().unwrap();
+        let tap = Engine::spawn_with_journal(config, Some(Arc::clone(&journal)))
+            .unwrap()
+            .into_tap();
+        drain(&tap);
+        let alarms = tap.alarms();
+        assert_eq!(alarms[0].kind, AlarmKind::AuditOverclaim, "{alarms:?}");
+        let obs = Arc::clone(tap.observatory());
+        tap.shutdown().unwrap();
 
         let postmortems = obs.postmortems().snapshot();
         assert_eq!(postmortems.len(), 1);
@@ -1495,10 +1409,10 @@ mod tests {
         let config = model_config()
             .conditioner(ConditionerSpec::parse("xor:2,sha256:2").unwrap())
             .budget_bytes(Some(4096));
-        let mut engine = Engine::spawn(config).unwrap();
-        engine.read_to_end().unwrap();
-        let obs = Arc::clone(engine.observatory());
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        drain(&tap);
+        let obs = Arc::clone(tap.observatory());
+        tap.shutdown().unwrap();
         assert!(obs.batch_histogram().count() > 0);
         let stages = obs.stage_histograms();
         assert_eq!(stages.len(), 2);
@@ -1519,10 +1433,10 @@ mod tests {
     fn disabled_recorder_still_fills_histograms() {
         let mut config = model_config().budget_bytes(Some(2048));
         config.obs.recorder = false;
-        let mut engine = Engine::spawn(config).unwrap();
-        engine.read_to_end().unwrap();
-        let obs = Arc::clone(engine.observatory());
-        engine.join().unwrap();
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        drain(&tap);
+        let obs = Arc::clone(tap.observatory());
+        tap.shutdown().unwrap();
         assert!(obs.events().is_empty(), "recorder off: no events");
         assert!(obs.batch_histogram().count() > 0, "histograms stay on");
     }

@@ -1,154 +1,6 @@
-//! Consumer side of the pool: bounded batch channel, bit packing, byte budgets.
+//! Worker-side output plumbing: bit packing and the shared byte budget.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Receiver;
-
-use crate::{EngineError, Result};
-
-/// One batch of packed output bytes from a shard.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Batch {
-    /// Index of the producing shard.
-    pub shard: usize,
-    /// Packed output bytes (conditioned when a conditioning chain is configured).
-    pub bytes: Vec<u8>,
-    /// Raw bits the source generated to produce this batch (before conditioning).
-    pub raw_bits: usize,
-}
-
-/// Messages flowing from shard workers to the stream.
-#[derive(Debug)]
-pub(crate) enum Message {
-    /// A batch of output bytes.
-    Batch(Batch),
-    /// The shard finished normally (budget exhausted or channel closed).
-    ShardDone(usize),
-    /// The shard's health monitor latched an alarm.
-    Alarm {
-        /// Index of the alarming shard.
-        shard: usize,
-        /// Typed alarm classification (also carried by the metrics and postmortems).
-        kind: crate::metrics::AlarmKind,
-        /// Rendered alarm reason.
-        reason: String,
-    },
-}
-
-/// Iterator over the batches produced by a pool.
-///
-/// Yields `Ok(Batch)` for output and `Err(EngineError::HealthAlarm)` when a shard
-/// alarms; other shards keep producing, so consumers may continue iterating after an
-/// error if partial output is acceptable.  Iteration ends when every shard has
-/// terminated.
-pub struct ByteStream {
-    rx: Receiver<Message>,
-    live_shards: usize,
-    finished: Vec<bool>,
-}
-
-impl ByteStream {
-    pub(crate) fn new(rx: Receiver<Message>, shards: usize) -> Self {
-        Self {
-            rx,
-            live_shards: shards,
-            finished: vec![false; shards],
-        }
-    }
-
-    fn mark_finished(&mut self, shard: usize) {
-        if let Some(flag) = self.finished.get_mut(shard) {
-            if !*flag {
-                *flag = true;
-                self.live_shards -= 1;
-            }
-        }
-    }
-
-    /// Number of shards that have not yet terminated.
-    pub fn live_shards(&self) -> usize {
-        self.live_shards
-    }
-
-    /// Non-blocking variant of [`Iterator::next`]: polls the channel without parking
-    /// the caller.
-    ///
-    /// Returns `Ok(Some(batch))` when a batch was ready, and `Ok(None)` when no batch
-    /// is available *right now* or the stream has ended — disambiguate with
-    /// [`ByteStream::live_shards`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the alarm when the next pending message is a shard alarm.
-    pub fn try_next(&mut self) -> Result<Option<Batch>> {
-        while self.live_shards > 0 {
-            match self.rx.try_recv() {
-                Ok(Message::Batch(batch)) => return Ok(Some(batch)),
-                Ok(Message::ShardDone(shard)) => self.mark_finished(shard),
-                Ok(Message::Alarm {
-                    shard,
-                    kind,
-                    reason,
-                }) => {
-                    self.mark_finished(shard);
-                    return Err(EngineError::HealthAlarm {
-                        shard,
-                        kind,
-                        reason,
-                    });
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => return Ok(None),
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    self.live_shards = 0;
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Collects every remaining batch into one byte vector, failing on the first
-    /// shard alarm.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first alarm raised by any shard.
-    pub fn read_to_end(&mut self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        for batch in self {
-            out.extend_from_slice(&batch?.bytes);
-        }
-        Ok(out)
-    }
-}
-
-impl Iterator for ByteStream {
-    type Item = Result<Batch>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.live_shards > 0 {
-            match self.rx.recv() {
-                Ok(Message::Batch(batch)) => return Some(Ok(batch)),
-                Ok(Message::ShardDone(shard)) => self.mark_finished(shard),
-                Ok(Message::Alarm {
-                    shard,
-                    kind,
-                    reason,
-                }) => {
-                    self.mark_finished(shard);
-                    return Some(Err(EngineError::HealthAlarm {
-                        shard,
-                        kind,
-                        reason,
-                    }));
-                }
-                // All senders dropped (workers died without a final message).
-                Err(_) => {
-                    self.live_shards = 0;
-                }
-            }
-        }
-        None
-    }
-}
 
 /// Accumulates raw bits and drains packed bytes (MSB-first within each byte).
 ///
@@ -261,8 +113,6 @@ impl ByteBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::AlarmKind;
-    use std::sync::mpsc::sync_channel;
 
     #[test]
     fn packing_round_trips() {
@@ -349,81 +199,5 @@ mod tests {
                 prop_assert_eq!(packer.pending_bits(), bits.len());
             }
         }
-    }
-
-    #[test]
-    fn stream_ends_after_every_shard_reports() {
-        let (tx, rx) = sync_channel(8);
-        let mut stream = ByteStream::new(rx, 2);
-        tx.send(Message::Batch(Batch {
-            shard: 0,
-            bytes: vec![1, 2],
-            raw_bits: 16,
-        }))
-        .unwrap();
-        tx.send(Message::ShardDone(0)).unwrap();
-        tx.send(Message::Alarm {
-            shard: 1,
-            kind: AlarmKind::Thermal,
-            reason: "test".to_string(),
-        })
-        .unwrap();
-        drop(tx);
-        let first = stream.next().unwrap().unwrap();
-        assert_eq!(first.bytes, vec![1, 2]);
-        let second = stream.next().unwrap();
-        assert!(matches!(
-            second,
-            Err(EngineError::HealthAlarm { shard: 1, .. })
-        ));
-        assert!(stream.next().is_none());
-    }
-
-    #[test]
-    fn try_next_polls_without_blocking() {
-        let (tx, rx) = sync_channel(8);
-        let mut stream = ByteStream::new(rx, 1);
-        // Empty channel: no batch, but the stream is still live.
-        assert!(stream.try_next().unwrap().is_none());
-        assert_eq!(stream.live_shards(), 1);
-        tx.send(Message::Batch(Batch {
-            shard: 0,
-            bytes: vec![9],
-            raw_bits: 8,
-        }))
-        .unwrap();
-        assert_eq!(stream.try_next().unwrap().unwrap().bytes, vec![9]);
-        tx.send(Message::Alarm {
-            shard: 0,
-            kind: AlarmKind::RepetitionCount,
-            reason: "test".to_string(),
-        })
-        .unwrap();
-        assert!(matches!(
-            stream.try_next(),
-            Err(EngineError::HealthAlarm { shard: 0, .. })
-        ));
-        assert!(stream.try_next().unwrap().is_none());
-        assert_eq!(stream.live_shards(), 0);
-    }
-
-    #[test]
-    fn read_to_end_aggregates_bytes() {
-        let (tx, rx) = sync_channel(8);
-        let mut stream = ByteStream::new(rx, 1);
-        tx.send(Message::Batch(Batch {
-            shard: 0,
-            bytes: vec![1, 2, 3],
-            raw_bits: 24,
-        }))
-        .unwrap();
-        tx.send(Message::Batch(Batch {
-            shard: 0,
-            bytes: vec![4],
-            raw_bits: 8,
-        }))
-        .unwrap();
-        tx.send(Message::ShardDone(0)).unwrap();
-        assert_eq!(stream.read_to_end().unwrap(), vec![1, 2, 3, 4]);
     }
 }

@@ -1,26 +1,28 @@
-//! Multi-consumer byte draws from a running engine.
+//! Multi-consumer byte draws from a running engine — the engine's only consumer.
 //!
-//! The [`crate::stream::ByteStream`] is a single-consumer iterator — the right shape
-//! for `ptrngd`'s one sink, but not for a network server where many request handlers
-//! want bytes concurrently.  An [`EntropyTap`] wraps the stream (plus the worker
-//! handles and the conditioned-output [`EntropyLedger`]) behind a mutex so that:
+//! Shard workers publish packed output batches on one bounded channel; the tap owns
+//! its receiving end, together with the worker handles and the conditioned-output
+//! [`EntropyLedger`], behind a mutex, so that:
 //!
-//! * any number of threads can [`EntropyTap::draw`] (blocking) or
-//!   [`EntropyTap::try_draw`] (non-blocking) bytes; each byte is handed out exactly
-//!   once, so concurrent consumers always receive **distinct** entropy,
+//! * any number of threads can [`EntropyTap::draw`] bytes; each byte is handed out
+//!   exactly once, so concurrent consumers always receive **distinct** entropy (a
+//!   single consumer such as `ptrngd` simply draws until a draw comes up short),
 //! * backpressure is preserved end to end: when no consumer draws, the shard workers
-//!   park on the bounded channel exactly as they do under a slow `ptrngd` sink,
+//!   park on the bounded channel,
 //! * shard alarms do not poison the tap — the remaining shards keep serving, and the
 //!   alarm trail is read from [`EngineMetrics`], where workers record it **at alarm
 //!   time**, so health surfaces ([`EntropyTap::alarms`], [`EntropyTap::alarm_count`],
 //!   [`EntropyTap::live_shards`]) stay accurate and uncontended even while a slow
-//!   draw holds the stream lock,
+//!   draw holds the channel lock,
+//! * the stream has ended once every worker has dropped its sender (budget spent,
+//!   terminal alarm, or shutdown); a draw then comes up short,
 //! * [`EntropyTap::shutdown`] drains the runtime deterministically: the channel is
 //!   closed, parked workers unblock, and every worker thread is joined.
 //!
 //! Build one with [`crate::pool::Engine::into_tap`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -28,13 +30,12 @@ use ptrng_trng::conditioning::EntropyLedger;
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot, ShardAlarm};
 use crate::observatory::Observatory;
-use crate::stream::ByteStream;
 use crate::{EngineError, Result};
 
 struct TapInner {
-    /// `None` once the tap has been shut down.
-    stream: Option<ByteStream>,
-    /// Bytes received from the stream but not yet handed to a consumer.
+    /// The shard batch channel; `None` once it disconnected or the tap shut down.
+    rx: Option<Receiver<Vec<u8>>>,
+    /// Bytes received from the channel but not yet handed to a consumer.
     pending: Vec<u8>,
     /// Read offset into `pending` (compacted when fully consumed).
     cursor: usize,
@@ -75,23 +76,23 @@ pub struct EntropyTap {
     ledger: Arc<EntropyLedger>,
     observatory: Arc<Observatory>,
     shards: usize,
-    /// Last observed stream live count, refreshed by the locked paths so health
-    /// checks never have to contend for the stream lock.
-    live: Arc<AtomicUsize>,
+    /// Set once the channel has disconnected or the tap shut down, so health
+    /// checks never have to contend for the channel lock.
+    ended: Arc<AtomicBool>,
 }
 
 impl EntropyTap {
     pub(crate) fn new(
-        stream: ByteStream,
+        rx: Receiver<Vec<u8>>,
         metrics: Arc<EngineMetrics>,
         workers: Vec<JoinHandle<()>>,
         ledger: EntropyLedger,
         observatory: Arc<Observatory>,
     ) -> Self {
-        let shards = stream.live_shards();
+        let shards = workers.len();
         Self {
             inner: Arc::new(Mutex::new(TapInner {
-                stream: Some(stream),
+                rx: Some(rx),
                 pending: Vec::new(),
                 cursor: 0,
                 workers,
@@ -100,7 +101,7 @@ impl EntropyTap {
             ledger: Arc::new(ledger),
             observatory,
             shards,
-            live: Arc::new(AtomicUsize::new(shards)),
+            ended: Arc::new(AtomicBool::new(false)),
         }
     }
 
@@ -138,20 +139,27 @@ impl EntropyTap {
         self.metrics.alarm_reasons()
     }
 
-    /// Best-effort number of shards still producing: the smaller of the last
-    /// stream observation and `shards − terminally-alarmed shards`, so
-    /// freshly-alarmed shards are excluded immediately even when their terminal
-    /// message has not been drained yet.  Non-terminal alarms (pool child
-    /// quarantines and reinstatements) do not reduce the count — the shard keeps
-    /// serving through them.  Never blocks on the stream lock.
+    /// The first alarm on the trail that stopped its shard — what a consumer
+    /// that must fail on any shard loss (such as `ptrngd`, exit 2) reports.
+    /// Pool quarantine and reinstatement notices are not terminal.
+    pub fn first_terminal_alarm(&self) -> Option<ShardAlarm> {
+        self.metrics
+            .alarm_reasons()
+            .into_iter()
+            .find(|alarm| alarm.kind.is_terminal())
+    }
+
+    /// Number of shards still producing: 0 once the stream has ended, else the
+    /// shards that have not terminally alarmed.  Workers record alarms at alarm
+    /// time, so a freshly-alarmed shard leaves the count before any draw.
+    /// Non-terminal alarms (pool child quarantines and reinstatements) do not
+    /// reduce the count — the shard keeps serving through them.  Never blocks on
+    /// the channel lock.
     pub fn live_shards(&self) -> usize {
-        if let Ok(inner) = self.inner.try_lock() {
-            self.refresh_live(&inner);
+        if self.ended.load(Ordering::Relaxed) {
+            return 0;
         }
-        let alarmed = self.terminally_alarmed();
-        self.live
-            .load(Ordering::Relaxed)
-            .min(self.shards.saturating_sub(alarmed.len()))
+        self.shards.saturating_sub(self.terminally_alarmed().len())
     }
 
     /// Shards whose alarm trail contains a terminal kind.
@@ -189,70 +197,36 @@ impl EntropyTap {
         }
     }
 
-    fn refresh_live(&self, inner: &TapInner) {
-        let live = inner.stream.as_ref().map_or(0, ByteStream::live_shards);
-        self.live.store(live, Ordering::Relaxed);
-    }
-
     /// Fills `out` with conditioned bytes, blocking while the engine catches up.
     ///
     /// Returns the number of bytes written — `out.len()` unless the stream ended
     /// first (every shard terminated or alarmed), in which case the short count is
-    /// final and [`EntropyTap::live_shards`] is 0.  Shard alarms encountered while
-    /// drawing were already recorded on the metrics alarm trail by the worker; the
-    /// remaining shards keep serving, so a draw never fails, it only comes up short.
+    /// final and [`EntropyTap::live_shards`] is 0.  Shard alarms were already
+    /// recorded on the metrics alarm trail by the worker; the remaining shards keep
+    /// serving, so a draw never fails, it only comes up short.
     ///
-    /// Concurrent draws serialize on the stream lock — by design, since every byte
-    /// is handed out exactly once.
+    /// Concurrent draws serialize on the channel lock — by design, since every
+    /// byte is handed out exactly once.
     pub fn draw(&self, out: &mut [u8]) -> usize {
         let start = std::time::Instant::now();
         let mut inner = self.inner.lock().expect("tap lock poisoned");
-        let written = self.pump(&mut inner, out, |stream| stream.next().transpose());
-        self.refresh_live(&inner);
+        let mut written = inner.take_pending(out, 0);
+        while written < out.len() {
+            let Some(rx) = inner.rx.as_ref() else {
+                break;
+            };
+            match rx.recv() {
+                Ok(bytes) => written += inner.absorb(&bytes, out, written),
+                // Every worker dropped its sender: the stream has ended.
+                Err(_) => {
+                    inner.rx = None;
+                    self.ended.store(true, Ordering::Relaxed);
+                }
+            }
+        }
         drop(inner);
         self.observatory
             .record_tap_wait(ptrng_obs::probe::elapsed_ns(start), written as u64);
-        written
-    }
-
-    /// Non-blocking draw: fills `out` from bytes that are already buffered or
-    /// sitting in the channel, returning immediately with the number of bytes
-    /// written — including 0 when another consumer currently holds the tap.
-    pub fn try_draw(&self, out: &mut [u8]) -> usize {
-        // `try_lock`, not `lock`: a blocked `draw` on another thread must not turn
-        // this call into a blocking one.
-        let Ok(mut inner) = self.inner.try_lock() else {
-            return 0;
-        };
-        let written = self.pump(&mut inner, out, ByteStream::try_next);
-        self.refresh_live(&inner);
-        written
-    }
-
-    /// Shared draw loop: `pull` returns `Ok(None)` when no batch is (currently)
-    /// available, which ends the loop.
-    fn pump(
-        &self,
-        inner: &mut TapInner,
-        out: &mut [u8],
-        mut pull: impl FnMut(&mut ByteStream) -> Result<Option<crate::stream::Batch>>,
-    ) -> usize {
-        let mut written = inner.take_pending(out, 0);
-        while written < out.len() {
-            let Some(stream) = inner.stream.as_mut() else {
-                break;
-            };
-            match pull(stream) {
-                Ok(Some(batch)) => {
-                    written += inner.absorb(&batch.bytes, out, written);
-                }
-                Ok(None) => break,
-                // The worker already recorded the alarm in the metrics; surviving
-                // shards keep the stream alive.
-                Err(EngineError::HealthAlarm { .. }) => {}
-                Err(_) => break,
-            }
-        }
         written
     }
 
@@ -265,20 +239,34 @@ impl EntropyTap {
     ///
     /// Returns an error when a worker thread panicked.
     pub fn shutdown(&self) -> Result<()> {
-        let (stream, workers) = {
+        let (rx, workers) = {
             let mut inner = self.inner.lock().expect("tap lock poisoned");
-            (inner.stream.take(), std::mem::take(&mut inner.workers))
+            (inner.rx.take(), std::mem::take(&mut inner.workers))
         };
-        self.live.store(0, Ordering::Relaxed);
+        self.ended.store(true, Ordering::Relaxed);
         // Dropping the receiver outside the lock closes the channel; workers then
         // observe the disconnect on their next send and terminate.
-        drop(stream);
+        drop(rx);
         for (shard, handle) in workers.into_iter().enumerate() {
             handle
                 .join()
                 .map_err(|_| EngineError::WorkerPanicked { shard })?;
         }
         Ok(())
+    }
+}
+
+/// Draws from `tap` until a draw comes up short, i.e. until the stream ends.
+#[cfg(test)]
+pub(crate) fn drain(tap: &EntropyTap) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut chunk = vec![0u8; 64 << 10];
+    loop {
+        let drawn = tap.draw(&mut chunk);
+        out.extend_from_slice(&chunk[..drawn]);
+        if drawn < chunk.len() {
+            return out;
+        }
     }
 }
 
@@ -349,17 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn try_draw_never_blocks() {
-        let tap = tap(None);
-        let mut out = vec![0u8; 1 << 20];
-        // Unlimited budget: a blocking draw of 1 MiB would take a while, but the
-        // non-blocking one returns with whatever the queue holds right now.
-        let drawn = tap.try_draw(&mut out);
-        assert!(drawn < out.len());
-        tap.shutdown().unwrap();
-    }
-
-    #[test]
     fn alarms_are_visible_without_any_draw() {
         // Shard-count 1 with a stuck source: the worker records the alarm at alarm
         // time, so the tap reports it before any consumer touches the stream.
@@ -376,8 +353,7 @@ mod tests {
         assert_eq!(
             tap.live_shards(),
             0,
-            "an alarmed shard leaves the live count even before its terminal \
-             message is drained"
+            "an alarmed shard leaves the live count before any draw"
         );
         let alarms = tap.alarms();
         assert_eq!(alarms[0].shard, 0);

@@ -3,11 +3,10 @@
 //! A campaign drives the [`DifferentialCircuit`] over a list of depths and produces a
 //! [`Sigma2NDataset`] — the software counterpart of letting the paper's FPGA measurement
 //! run over night.  Counter-mode campaigns evaluate every depth independently (and in
-//! parallel with rayon); period-domain campaigns reuse a single long record.
+//! parallel on scoped threads); period-domain campaigns reuse a single long record.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use ptrng_stats::seed::derive_seed;
@@ -117,25 +116,40 @@ impl MeasurementCampaign {
                     .measure_period_domain(&mut rng, &self.config.depths, record_len)
             }
             Estimator::CounterCircuit { windows } => {
-                let runs: Vec<Result<DatasetPoint>> = self
-                    .config
-                    .depths
-                    .par_iter()
-                    .map(|&n| {
-                        let mut rng =
-                            StdRng::seed_from_u64(derive_seed(self.config.seed, n as u64));
-                        let run = self.circuit.measure_counters(&mut rng, n, windows)?;
-                        Ok(DatasetPoint {
-                            n,
-                            sigma2_n: run.sigma2_n,
-                            samples: run.sn.len(),
-                        })
+                // Every depth is seeded from its own value, so the result does not
+                // depend on which worker measures it.
+                let measure = |n: usize| -> Result<DatasetPoint> {
+                    let mut rng = StdRng::seed_from_u64(derive_seed(self.config.seed, n as u64));
+                    let run = self.circuit.measure_counters(&mut rng, n, windows)?;
+                    Ok(DatasetPoint {
+                        n,
+                        sigma2_n: run.sigma2_n,
+                        samples: run.sn.len(),
                     })
-                    .collect();
-                let mut points = Vec::with_capacity(runs.len());
-                for r in runs {
-                    points.push(r?);
-                }
+                };
+                let measure = &measure;
+                // One contiguous chunk of depths per core; joining the workers in
+                // spawn order keeps the points in input order.
+                let depths = &self.config.depths;
+                let workers = std::thread::available_parallelism().map_or(1, usize::from);
+                let chunk = depths.len().div_ceil(workers).max(1);
+                let points = std::thread::scope(|scope| {
+                    let handles: Vec<_> = depths
+                        .chunks(chunk)
+                        .map(|part| {
+                            scope
+                                .spawn(move || part.iter().map(|&n| measure(n)).collect::<Vec<_>>())
+                        })
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|handle| {
+                            handle
+                                .join()
+                                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                        })
+                        .collect::<Result<Vec<_>>>()
+                })?;
                 Sigma2NDataset::new(
                     self.circuit.target().model().frequency(),
                     "counter-circuit",

@@ -667,8 +667,8 @@ fn run_generate_inner(args: GenerateArgs) -> Result<u64, (u8, String)> {
         .map_err(|m| (1, m))?
         .budget_bytes(args.budget);
 
-    // BufWriter matters here: batches are ~1 KiB and stdout is otherwise
-    // line-buffered, which would flush on every 0x0A byte of random output.
+    // BufWriter matters here: stdout is otherwise line-buffered, which would flush
+    // on every 0x0A byte of random output.
     let mut sink: Box<dyn Write> = match &args.out {
         Some(path) => Box::new(std::io::BufWriter::with_capacity(
             256 * 1024,
@@ -685,25 +685,25 @@ fn run_generate_inner(args: GenerateArgs) -> Result<u64, (u8, String)> {
     // An entropy deficit is the emission-refusal path (exit 2, like an alarm): the
     // accounted ledger says the conditioned output would overclaim.  The canonical
     // ledger JSON goes to stderr so tooling can consume the refusal.
-    let mut engine = Engine::spawn_with_journal(config, journal).map_err(|e| match e {
-        EngineError::EntropyDeficit { ref ledger, .. } => {
-            eprintln!("ptrngd: ledger {}", ledger.to_json());
-            (2, e.to_string())
-        }
-        other => (1, other.to_string()),
-    })?;
+    let tap = Engine::spawn_with_journal(config, journal)
+        .map_err(|e| match e {
+            EngineError::EntropyDeficit { ref ledger, .. } => {
+                eprintln!("ptrngd: ledger {}", ledger.to_json());
+                (2, e.to_string())
+            }
+            other => (1, other.to_string()),
+        })?
+        .into_tap();
+    // Draw until the stream ends: the budget is spent or every shard has stopped.
+    let mut buffer = vec![0u8; 64 << 10];
     let mut written = 0u64;
-    let mut alarm: Option<String> = None;
-    for batch in engine.stream_mut() {
-        match batch {
-            Ok(batch) => {
-                sink.write_all(&batch.bytes)
-                    .map_err(|e| (1, format!("write failed: {e}")))?;
-                written += batch.bytes.len() as u64;
-            }
-            Err(e) => {
-                alarm.get_or_insert(e.to_string());
-            }
+    loop {
+        let drawn = tap.draw(&mut buffer);
+        sink.write_all(&buffer[..drawn])
+            .map_err(|e| (1, format!("write failed: {e}")))?;
+        written += drawn as u64;
+        if drawn < buffer.len() {
+            break;
         }
     }
     sink.flush()
@@ -711,7 +711,7 @@ fn run_generate_inner(args: GenerateArgs) -> Result<u64, (u8, String)> {
     let elapsed = started.elapsed().as_secs_f64();
 
     if args.stats {
-        let snap = engine.metrics().snapshot();
+        let snap = tap.metrics_snapshot();
         eprintln!(
             "ptrngd: {written} bytes in {elapsed:.2}s ({:.2} MiB/s), {} raw bits, {} batches, \
              {:.0} accounted entropy bits, {} alarms",
@@ -732,16 +732,16 @@ fn run_generate_inner(args: GenerateArgs) -> Result<u64, (u8, String)> {
                 shard.entropy_per_output_bit
             );
         }
-        eprintln!("ptrngd: ledger {}", engine.output_ledger().to_json());
+        eprintln!("ptrngd: ledger {}", tap.ledger().to_json());
         // The latency-histogram families, in the same Prometheus text the server
         // exposes on /metrics (one encoder, one format).
         let mut enc = TextEncoder::new();
-        engine.observatory().render_histograms(&mut enc);
+        tap.observatory().render_histograms(&mut enc);
         eprint!("{}", enc.finish());
     }
-    engine.join().map_err(|e| (1, e.to_string()))?;
-    match alarm {
-        Some(reason) => Err((2, reason)),
+    tap.shutdown().map_err(|e| (1, e.to_string()))?;
+    match tap.first_terminal_alarm() {
+        Some(alarm) => Err((2, alarm.to_string())),
         None => Ok(written),
     }
 }
@@ -835,8 +835,10 @@ fn run_validate_inner(args: ValidateArgs) -> Result<bool, (u8, String)> {
         .map_err(|m| (1, m))?
         .min_output_entropy(None)
         .budget_bytes(Some(budget));
-    let mut engine = Engine::spawn(config).map_err(|e| (1, e.to_string()))?;
-    let ledger = engine.output_ledger().clone();
+    let tap = Engine::spawn(config)
+        .map_err(|e| (1, e.to_string()))?
+        .into_tap();
+    let ledger = tap.ledger().clone();
     let audit_config = AuditConfig::default()
         .window_bits(args.audit_bits)
         .margin(args.margin)
@@ -844,23 +846,20 @@ fn run_validate_inner(args: ValidateArgs) -> Result<bool, (u8, String)> {
     let mut audit = EntropyAudit::new("conditioned", ledger.min_entropy_per_bit(), audit_config)
         .map_err(|e| (1, e.to_string()))?;
 
-    let mut alarm: Option<String> = None;
-    for batch in engine.stream_mut() {
-        match batch {
-            Ok(batch) => {
-                audit
-                    .observe_bytes(&batch.bytes)
-                    .map_err(|e| (1, e.to_string()))?;
-            }
-            Err(e) => {
-                alarm.get_or_insert(e.to_string());
-            }
+    let mut buffer = vec![0u8; 64 << 10];
+    loop {
+        let drawn = tap.draw(&mut buffer);
+        audit
+            .observe_bytes(&buffer[..drawn])
+            .map_err(|e| (1, e.to_string()))?;
+        if drawn < buffer.len() {
+            break;
         }
     }
     audit.finalize().map_err(|e| (1, e.to_string()))?;
-    engine.join().map_err(|e| (1, e.to_string()))?;
-    if let Some(reason) = alarm {
-        return Err((2, reason));
+    tap.shutdown().map_err(|e| (1, e.to_string()))?;
+    if let Some(alarm) = tap.first_terminal_alarm() {
+        return Err((2, alarm.to_string()));
     }
     if audit.windows() == 0 {
         return Err((

@@ -5,8 +5,10 @@
 //!
 //! * **Closed loop** ([`Mode::Closed`]) — `connections` clients all connect, rendezvous
 //!   on a barrier (so the target provably holds that many sockets *simultaneously*),
-//!   then each issues `requests_per_conn` keep-alive requests back-to-back.  This
-//!   measures the concurrent-connection ceiling and per-request service latency.
+//!   then each issues `requests_per_conn` keep-alive requests back-to-back,
+//!   reconnecting whenever the server closes the connection (`Connection: close`,
+//!   e.g. at its per-connection request cap).  This measures the
+//!   concurrent-connection ceiling and per-request service latency.
 //! * **Open loop** ([`Mode::Open`]) — arrivals are scheduled at a fixed rate on the
 //!   clock and each gets a fresh connection; latency is measured from the *scheduled*
 //!   arrival, not the actual send, so a slow server cannot hide queueing delay by
@@ -188,14 +190,18 @@ where
         .collect()
 }
 
-fn connect_with_retry(target: &str) -> std::io::Result<TcpStream> {
+/// A client connection: the write half and a buffered read half.
+type Conn = (TcpStream, BufReader<TcpStream>);
+
+fn connect_with_retry(target: &str) -> std::io::Result<Conn> {
     let mut last = None;
     for _ in 0..3 {
         match TcpStream::connect(target) {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                return Ok(stream);
+                let reader = BufReader::new(stream.try_clone()?);
+                return Ok((stream, reader));
             }
             Err(error) => {
                 last = Some(error);
@@ -221,28 +227,34 @@ fn closed_loop(config: &LoadgenConfig) -> LoadReport {
         client_threads(config.connections, move |_| {
             // Connect *before* the rendezvous: when the barrier releases, every
             // surviving socket is provably open at the same time.
-            let stream = connect_with_retry(&target);
-            if stream.is_ok() {
+            let conn = connect_with_retry(&target);
+            if conn.is_ok() {
                 counters.connected.fetch_add(1, Ordering::Relaxed);
             }
             barrier.wait();
-            let Ok(stream) = stream else {
+            let Ok(mut conn) = conn else {
                 counters.errors.fetch_add(1, Ordering::Relaxed);
                 return;
             };
-            let Ok(read_half) = stream.try_clone() else {
-                counters.errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            };
-            let mut writer = stream;
-            let mut reader = BufReader::new(read_half);
-            for _ in 0..requests {
+            for request in 0..requests {
                 let start = Instant::now();
-                if let Err(()) = one_request(&mut writer, &mut reader, &path, &counters) {
+                let Ok(closed) = one_request(&mut conn, &path, &counters) else {
                     counters.errors.fetch_add(1, Ordering::Relaxed);
                     return;
-                }
+                };
                 histogram.record(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+                // The server closed the connection (e.g. at its keep-alive cap):
+                // reconnect for the remaining requests.  Reconnects do not count
+                // as rendezvous connections.
+                if closed && request + 1 < requests {
+                    match connect_with_retry(&target) {
+                        Ok(fresh) => conn = fresh,
+                        Err(_) => {
+                            counters.errors.fetch_add(1, Ordering::Relaxed);
+                            return;
+                        }
+                    }
+                }
             }
         })
     };
@@ -280,15 +292,12 @@ fn open_loop(config: &LoadgenConfig, rate_per_sec: f64, duration: Duration) -> L
             }
             let outcome = connect_with_retry(&target)
                 .map_err(|_| ())
-                .and_then(|stream| {
+                .and_then(|mut conn| {
                     counters.connected.fetch_add(1, Ordering::Relaxed);
-                    let read_half = stream.try_clone().map_err(|_| ())?;
-                    let mut writer = stream;
-                    let mut reader = BufReader::new(read_half);
-                    one_request(&mut writer, &mut reader, &path, &counters)
+                    one_request(&mut conn, &path, &counters)
                 });
             match outcome {
-                Ok(()) => histogram
+                Ok(_) => histogram
                     .record(scheduled.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64),
                 Err(()) => {
                     counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -335,13 +344,13 @@ fn report(
     }
 }
 
-/// Sends one `GET` and consumes the full response; counts it on success.
+/// Sends one `GET` and consumes the full response; counts it on success and
+/// returns whether the server closed the connection after it.
 fn one_request(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
+    (writer, reader): &mut Conn,
     path: &str,
     counters: &Counters,
-) -> std::result::Result<(), ()> {
+) -> std::result::Result<bool, ()> {
     // One write_all, not write!: the fmt machinery issues a syscall per
     // fragment, and a server that answers-and-closes without reading (the
     // accept-refusal path) RSTs the remainder mid-request.
@@ -350,14 +359,22 @@ fn one_request(
     // accept) may already sit in the receive buffer, and whether the exchange
     // counts is decided by the response read either way.
     let _ = writer.write_all(request.as_bytes());
-    let (status, body_bytes) = read_response(reader).map_err(|_| ())?;
-    counters.count_response(status, body_bytes);
-    Ok(())
+    let response = read_response(reader).map_err(|_| ())?;
+    counters.count_response(response.status, response.body_bytes);
+    Ok(response.close)
 }
 
-/// Reads one HTTP/1.1 response (head + `Content-Length` or chunked body),
-/// returning the status and the body byte count.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64)> {
+/// What [`read_response`] consumed.
+#[derive(Debug, PartialEq)]
+struct Response {
+    status: u16,
+    body_bytes: u64,
+    /// The server sent `Connection: close`: no further request on this socket.
+    close: bool,
+}
+
+/// Reads one HTTP/1.1 response (head + `Content-Length` or chunked body).
+fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<Response> {
     let bad =
         |detail: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, detail.to_string());
     let mut line = String::new();
@@ -374,6 +391,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64
         .ok_or_else(|| bad("malformed status line"))?;
     let mut content_length: Option<u64> = None;
     let mut chunked = false;
+    let mut close = false;
     loop {
         line.clear();
         if reader.read_line(&mut line)? == 0 {
@@ -394,6 +412,9 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64
                 && value.eq_ignore_ascii_case("chunked")
             {
                 chunked = true;
+            } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
+            {
+                close = true;
             }
         }
     }
@@ -415,7 +436,11 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, u64
         skip_exact(reader, length as usize)?;
         body = length;
     }
-    Ok((status, body))
+    Ok(Response {
+        status,
+        body_bytes: body,
+        close,
+    })
 }
 
 fn skip_exact(reader: &mut impl Read, mut n: usize) -> std::io::Result<()> {
@@ -446,7 +471,7 @@ mod tests {
         addr
     }
 
-    fn read_from(addr: std::net::SocketAddr, path: &str) -> (u16, u64) {
+    fn read_from(addr: std::net::SocketAddr, path: &str) -> Response {
         let stream = TcpStream::connect(addr).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -461,15 +486,30 @@ mod tests {
     #[test]
     fn content_length_responses_are_consumed() {
         let addr = serve_canned(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
-        assert_eq!(read_from(addr, "/x"), (200, 5));
+        assert_eq!(
+            read_from(addr, "/x"),
+            Response {
+                status: 200,
+                body_bytes: 5,
+                close: false
+            }
+        );
     }
 
     #[test]
     fn chunked_responses_are_consumed() {
         let addr = serve_canned(
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nabcd\r\n2\r\nef\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n\
+              4\r\nabcd\r\n2\r\nef\r\n0\r\n\r\n",
         );
-        assert_eq!(read_from(addr, "/x"), (200, 6));
+        assert_eq!(
+            read_from(addr, "/x"),
+            Response {
+                status: 200,
+                body_bytes: 6,
+                close: true
+            }
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Server-side counters and the Prometheus text exposition of `/metrics`.
 //!
 //! The engine already keeps lock-free per-shard counters
-//! ([`ptrng_engine::metrics::MetricsSnapshot`]); this module adds the HTTP-layer
-//! counters (requests, responses by status, bytes served, rate-limit refusals) and
-//! renders both through the shared [`ptrng_obs::TextEncoder`] — the same
+//! ([`ptrng_engine::metrics::MetricsSnapshot`]) and the `/random` tier its DRBG
+//! counters ([`ptrng_engine::expanded::DrbgSnapshot`]); this module adds the
+//! HTTP-layer counters (requests, responses by status, bytes served, rate-limit
+//! refusals) and renders all three through the shared [`ptrng_obs::TextEncoder`] — the same
 //! escaping-correct encoder `ptrngd --stats` uses, so the exposition format rules
 //! live in exactly one place.
 
@@ -11,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use ptrng_engine::expanded::DrbgSnapshot;
 use ptrng_engine::metrics::MetricsSnapshot;
 use ptrng_obs::{MetricKind, TextEncoder};
 
@@ -75,13 +77,14 @@ impl ServerMetrics {
     }
 }
 
-/// Renders the engine snapshot plus the server counters into an open encoder.
+/// Renders the engine snapshot, the server counters and — when the `/random` tier
+/// is enabled — the DRBG counters into an open encoder.
 ///
 /// `min_entropy_per_bit` is the accounted ledger claim of the conditioned output
-/// (`None` while the server is refusing on an entropy deficit — the gauge is then the
-/// *refused* accounting, still exported so operators can see how far off it is).
-/// The `/metrics` handler appends the latency-histogram families to the same
-/// encoder afterwards.
+/// (while the server is refusing on an entropy deficit the gauge is the *refused*
+/// accounting, still exported so operators can see how far off it is).  The
+/// `/metrics` handler appends the latency-histogram families to the same encoder
+/// afterwards.
 pub fn render_prometheus_into(
     enc: &mut TextEncoder,
     engine: &MetricsSnapshot,
@@ -89,6 +92,7 @@ pub fn render_prometheus_into(
     min_entropy_per_bit: f64,
     live_shards: usize,
     serving: bool,
+    drbg: Option<&DrbgSnapshot>,
 ) {
     // Engine-level totals.
     enc.scalar(
@@ -319,28 +323,38 @@ pub fn render_prometheus_into(
             count,
         );
     }
-}
-
-/// Renders the engine snapshot plus the server counters as Prometheus text (the
-/// counter families only; `/metrics` composes the histogram families onto the
-/// same encoder via [`render_prometheus_into`]).
-pub fn render_prometheus(
-    engine: &MetricsSnapshot,
-    server: &ServerMetrics,
-    min_entropy_per_bit: f64,
-    live_shards: usize,
-    serving: bool,
-) -> String {
-    let mut enc = TextEncoder::new();
-    render_prometheus_into(
-        &mut enc,
-        engine,
-        server,
-        min_entropy_per_bit,
-        live_shards,
-        serving,
-    );
-    enc.finish()
+    if let Some(drbg) = drbg {
+        enc.scalar(
+            "ptrng_drbg_generates_total",
+            "Completed Hash_DRBG generate calls on the /random tier.",
+            MetricKind::Counter,
+            drbg.generates,
+        );
+        enc.scalar(
+            "ptrng_drbg_reseeds_total",
+            "Ledger-funded DRBG (re)seeds, the instantiation included.",
+            MetricKind::Counter,
+            drbg.reseeds,
+        );
+        enc.scalar(
+            "ptrng_drbg_bytes_total",
+            "DRBG-expanded output bytes produced by the /random tier.",
+            MetricKind::Counter,
+            drbg.bytes_total,
+        );
+        enc.scalar(
+            "ptrng_drbg_bytes_since_reseed",
+            "DRBG output bytes emitted on the current seed (resets on reseed).",
+            MetricKind::Gauge,
+            drbg.bytes_since_reseed,
+        );
+        enc.scalar(
+            "ptrng_drbg_seed_bits_debited_total",
+            "Accounted min-entropy bits debited from the ledger for DRBG seeds.",
+            MetricKind::Counter,
+            drbg.seed_bits_debited,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -411,7 +425,17 @@ mod tests {
         server.record_selftest(false);
         server.record_selftest(true);
 
-        let text = render_prometheus(&engine, &server, 0.9973, 2, true);
+        let drbg = DrbgSnapshot {
+            generates: 5,
+            reseeds: 2,
+            bytes_total: 65536,
+            bytes_since_reseed: 1024,
+            seed_bits_debited: 888,
+            last_reseed_ns: 1,
+        };
+        let mut enc = TextEncoder::new();
+        render_prometheus_into(&mut enc, &engine, &server, 0.9973, 2, true, Some(&drbg));
+        let text = enc.finish();
         for family in [
             "ptrng_raw_bits_total 16384",
             "ptrng_output_bytes_total 2048",
@@ -435,11 +459,22 @@ mod tests {
             "ptrng_pool_child_entropy_per_bit{shard=\"0\",child=\"1\"} 0.000000",
             "ptrng_pool_child_quarantines_total{shard=\"0\",child=\"1\"} 2",
             "ptrng_pool_child_reinstatements_total{shard=\"0\",child=\"1\"} 1",
+            "ptrng_drbg_generates_total 5",
+            "ptrng_drbg_reseeds_total 2",
+            "ptrng_drbg_bytes_total 65536",
+            "ptrng_drbg_bytes_since_reseed 1024",
+            "ptrng_drbg_seed_bits_debited_total 888",
         ] {
             assert!(text.contains(family), "missing `{family}` in:\n{text}");
         }
         // Exposition-format hygiene: HELP/TYPE precede each family.
         assert!(text.contains("# TYPE ptrng_raw_bits_total counter"));
         assert!(text.contains("# HELP ptrng_serving "));
+        assert!(text.contains("# TYPE ptrng_drbg_bytes_since_reseed gauge"));
+
+        // Without the /random tier no DRBG family is exported.
+        let mut enc = TextEncoder::new();
+        render_prometheus_into(&mut enc, &engine, &server, 0.9973, 2, true, None);
+        assert!(!enc.finish().contains("ptrng_drbg_"));
     }
 }

@@ -61,8 +61,8 @@ use ptrng_engine::tap::EntropyTap;
 use ptrng_engine::EngineError;
 use ptrng_obs::probe::elapsed_ns;
 use ptrng_obs::{
-    Event, EventKind, FlightRecorder, Journal, LogLinearHistogram, MetricKind, ObsClock,
-    Postmortem, Probe, TextEncoder, DEFAULT_TIME_BOUNDS_NS,
+    Event, EventKind, FlightRecorder, Journal, LogLinearHistogram, ObsClock, Postmortem, Probe,
+    TextEncoder, DEFAULT_TIME_BOUNDS_NS,
 };
 use ptrng_trng::conditioning::EntropyLedger;
 use serde::{Serialize, Value};
@@ -1534,40 +1534,16 @@ fn metrics(state: &SharedState, keep_alive: bool, head_only: bool) -> Routed {
         ),
     };
     let mut enc = TextEncoder::new();
-    render_prometheus_into(&mut enc, &snapshot, &state.metrics, h, live, serving);
-    if let Some(expanded) = &state.expanded {
-        let drbg = expanded.snapshot();
-        enc.scalar(
-            "ptrng_drbg_generates_total",
-            "Completed Hash_DRBG generate calls on the /random tier.",
-            MetricKind::Counter,
-            drbg.generates,
-        );
-        enc.scalar(
-            "ptrng_drbg_reseeds_total",
-            "Ledger-funded DRBG (re)seeds, the instantiation included.",
-            MetricKind::Counter,
-            drbg.reseeds,
-        );
-        enc.scalar(
-            "ptrng_drbg_bytes_total",
-            "DRBG-expanded output bytes produced by the /random tier.",
-            MetricKind::Counter,
-            drbg.bytes_total,
-        );
-        enc.scalar(
-            "ptrng_drbg_bytes_since_reseed",
-            "DRBG output bytes emitted on the current seed (resets on reseed).",
-            MetricKind::Gauge,
-            drbg.bytes_since_reseed,
-        );
-        enc.scalar(
-            "ptrng_drbg_seed_bits_debited_total",
-            "Accounted min-entropy bits debited from the ledger for DRBG seeds.",
-            MetricKind::Counter,
-            drbg.seed_bits_debited,
-        );
-    }
+    let drbg = state.expanded.as_ref().map(|expanded| expanded.snapshot());
+    render_prometheus_into(
+        &mut enc,
+        &snapshot,
+        &state.metrics,
+        h,
+        live,
+        serving,
+        drbg.as_ref(),
+    );
     if let Some(obs) = &state.obs {
         obs.render_histograms(&mut enc);
     }

@@ -28,11 +28,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .conditioner(conditioner)
             .budget_bytes(Some(budget));
         let started = Instant::now();
-        let mut engine = Engine::spawn(config)?;
-        let bytes = engine.read_to_end()?;
+        let tap = Engine::spawn(config)?.into_tap();
+        // One byte past the budget: the draw comes up short once every shard ends.
+        let mut bytes = vec![0u8; budget as usize + 1];
+        let drawn = tap.draw(&mut bytes);
+        bytes.truncate(drawn);
         let elapsed = started.elapsed().as_secs_f64();
-        let snapshot = engine.metrics().snapshot();
-        engine.join()?;
+        let snapshot = tap.metrics_snapshot();
+        tap.shutdown()?;
+        if let Some(alarm) = tap.first_terminal_alarm() {
+            return Err(alarm.to_string().into());
+        }
 
         let bits = unpack_bits(&bytes[..fips::FIPS_BLOCK_BITS / 8]);
         let verdicts = fips::run_all(&bits)?;

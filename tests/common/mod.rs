@@ -4,4 +4,5 @@
 //! dead-code analysis is silenced for the module as a whole.
 #![allow(dead_code)]
 
+pub mod tap;
 pub mod tolerances;

@@ -2,6 +2,11 @@
 //! shard independence, statistical quality of the emitted bytes, and the health layer's
 //! reaction to a frequency-injection-style jitter collapse.
 
+mod common;
+
+use std::collections::HashSet;
+
+use common::tap::drain;
 use ptrng::ais::fips;
 use ptrng::engine::audit::AuditConfig;
 use ptrng::engine::fault::FaultPlan;
@@ -19,6 +24,9 @@ use ptrng::trng::online::OnlineTestConfig;
 
 const MEBIBYTE: u64 = 1 << 20;
 
+/// Output bytes per batch at the default 8192-bit batch size.
+const BATCH_BYTES: usize = 8192 / 8;
+
 /// The acceptance scenario: a 4-shard engine streams a full mebibyte; distinct shards
 /// emit distinct streams (independent seeding) and the aggregate passes the FIPS
 /// 140-2 battery.
@@ -28,37 +36,35 @@ fn four_shards_stream_a_mebibyte_that_passes_fips() {
         .shards(4)
         .seed(2014)
         .budget_bytes(Some(MEBIBYTE));
-    let mut engine = Engine::spawn(config).unwrap();
-
-    let mut total = Vec::with_capacity(MEBIBYTE as usize);
-    let mut per_shard: Vec<Vec<u8>> = vec![Vec::new(); 4];
-    for batch in engine.stream_mut() {
-        let batch = batch.expect("no alarm expected from an unbiased source");
-        per_shard[batch.shard].extend_from_slice(&batch.bytes);
-        total.extend_from_slice(&batch.bytes);
-    }
-    engine.join().unwrap();
+    let tap = Engine::spawn(config).unwrap().into_tap();
+    let total = drain(&tap);
+    let snapshot = tap.metrics_snapshot();
+    tap.shutdown().unwrap();
+    assert!(
+        tap.alarms().is_empty(),
+        "no alarm expected from an unbiased source: {:?}",
+        tap.alarms()
+    );
 
     // Budget exact to the byte, across all shards.
     assert_eq!(total.len() as u64, MEBIBYTE);
 
-    // Every shard contributed, and no two shards emitted the same prefix.
-    for (i, shard) in per_shard.iter().enumerate() {
+    // Every shard contributed, and no batch repeats anywhere in the aggregate
+    // (independently-seeded shards never emit the same batch).
+    for shard in &snapshot.per_shard {
         assert!(
-            shard.len() > 1024,
-            "shard {i} starved ({} bytes)",
-            shard.len()
+            shard.output_bytes > 1024,
+            "shard {} starved ({} bytes)",
+            shard.shard,
+            shard.output_bytes
         );
     }
-    for a in 0..per_shard.len() {
-        for b in (a + 1)..per_shard.len() {
-            let len = per_shard[a].len().min(per_shard[b].len());
-            assert_ne!(
-                per_shard[a][..len],
-                per_shard[b][..len],
-                "shards {a}/{b} identical"
-            );
-        }
+    let mut seen = HashSet::new();
+    for (i, block) in total.chunks(BATCH_BYTES).enumerate() {
+        assert!(
+            seen.insert(block),
+            "batch {i} repeats: two shards share a seed"
+        );
     }
 
     // FIPS 140-2 battery over consecutive 20 000-bit blocks of the aggregate stream.
@@ -89,10 +95,11 @@ fn simulated_ero_shards_survive_health_monitoring() {
         .conditioner(ConditionerSpec::xor(4))
         // Startup battery on: the first 20 000 output bits are vetted before publishing.
         .budget_bytes(Some(8 * 1024));
-    let mut engine = Engine::spawn(config).unwrap();
-    let bytes = engine.read_to_end().expect("healthy source must not alarm");
-    let snapshot = engine.metrics().snapshot();
-    engine.join().unwrap();
+    let tap = Engine::spawn(config).unwrap().into_tap();
+    let bytes = drain(&tap);
+    let snapshot = tap.metrics_snapshot();
+    tap.shutdown().unwrap();
+    assert!(tap.alarms().is_empty(), "healthy source must not alarm");
 
     assert_eq!(bytes.len(), 8 * 1024);
     assert!(
@@ -118,9 +125,9 @@ fn divided_sampler_sweep_streams() {
         .batch_bits(4096)
         .budget_bytes(Some(2048))
         .health(HealthConfig::default().without_startup_battery());
-    let mut engine = Engine::spawn(config).unwrap();
-    let bytes = engine.read_to_end().unwrap();
-    engine.join().unwrap();
+    let tap = Engine::spawn(config).unwrap().into_tap();
+    let bytes = drain(&tap);
+    tap.shutdown().unwrap();
     assert_eq!(bytes.len(), 2048);
     let bits = unpack_bits(&bytes);
     let ones: usize = bits.iter().map(|&b| b as usize).sum();
@@ -142,10 +149,12 @@ fn sha256_conditioned_ero_streams_under_a_strict_emission_policy() {
         .conditioner(ConditionerSpec::parse("sha256").unwrap())
         .min_output_entropy(Some(0.997))
         .budget_bytes(Some(8 * 1024));
-    let mut engine = Engine::spawn(config).expect("the accounted entropy meets the policy");
-    let bytes = engine.read_to_end().expect("no alarm expected");
-    let snapshot = engine.metrics().snapshot();
-    engine.join().unwrap();
+    let tap = Engine::spawn(config)
+        .expect("the accounted entropy meets the policy")
+        .into_tap();
+    let bytes = drain(&tap);
+    let snapshot = tap.metrics_snapshot();
+    tap.shutdown().unwrap();
 
     assert_eq!(bytes.len(), 8 * 1024);
     assert_eq!(snapshot.alarms, 0);
@@ -198,7 +207,7 @@ fn degraded_model_source_is_refused_under_the_emission_policy() {
 }
 
 /// A heavily biased source is rejected by the engine's continuous tests and surfaces
-/// as a stream error, not silent bad output.
+/// as a terminal alarm, not silent bad output.
 #[test]
 fn biased_source_alarms_instead_of_streaming() {
     let config = EngineConfig::new(SourceSpec::model(0.95).unwrap())
@@ -209,13 +218,11 @@ fn biased_source_alarms_instead_of_streaming() {
                 .without_startup_battery()
                 .with_min_entropy(0.999),
         );
-    let mut engine = Engine::spawn(config).unwrap();
-    let result = engine.read_to_end();
-    engine.join().unwrap();
-    assert!(
-        matches!(result, Err(EngineError::HealthAlarm { shard: 0, .. })),
-        "expected a health alarm, got {result:?}"
-    );
+    let tap = Engine::spawn(config).unwrap().into_tap();
+    drain(&tap);
+    tap.shutdown().unwrap();
+    let alarm = tap.first_terminal_alarm().expect("expected a health alarm");
+    assert_eq!(alarm.shard, 0, "{alarm:?}");
 }
 
 /// The thermal online test is wired through the engine itself: shard workers
@@ -242,25 +249,30 @@ fn engine_runs_the_thermal_online_test_against_its_sources() {
                     .with_thermal(thermal),
             );
         config.thermal_check_batches = 1;
-        let mut engine = Engine::spawn(config).unwrap();
-        let result = engine.read_to_end();
-        let obs = std::sync::Arc::clone(engine.observatory());
-        engine.join().unwrap();
-        (result, obs)
+        let tap = Engine::spawn(config).unwrap().into_tap();
+        let bytes = drain(&tap);
+        tap.shutdown().unwrap();
+        (bytes, tap)
     };
 
-    let (healthy, obs) = run(relative.thermal_period_jitter());
-    assert_eq!(healthy.unwrap().len(), 2048);
-    assert!(obs.postmortems().is_empty(), "no alarm, no postmortem");
+    let (healthy, tap) = run(relative.thermal_period_jitter());
+    assert_eq!(healthy.len(), 2048);
+    assert!(tap.alarms().is_empty());
+    assert!(
+        tap.observatory().postmortems().is_empty(),
+        "no alarm, no postmortem"
+    );
 
-    let (attacked, obs) = run(relative.thermal_period_jitter() * 10.0);
-    match attacked {
-        Err(EngineError::HealthAlarm { kind, reason, .. }) => {
-            assert_eq!(kind, AlarmKind::Thermal, "unexpected alarm: {reason}");
-            assert!(reason.contains("thermal"), "unexpected alarm: {reason}");
-        }
-        other => panic!("expected a thermal alarm, got {other:?}"),
-    }
+    let (_, tap) = run(relative.thermal_period_jitter() * 10.0);
+    let alarm = tap
+        .first_terminal_alarm()
+        .expect("expected a thermal alarm");
+    assert_eq!(alarm.kind, AlarmKind::Thermal, "unexpected alarm: {alarm}");
+    assert!(
+        alarm.reason.contains("thermal"),
+        "unexpected alarm: {alarm}"
+    );
+    let obs = tap.observatory();
     // The alarm left a postmortem carrying the shard's pre-alarm flight-recorder
     // timeline (the debounced thermal test needs two strikes, so at least one
     // batch was generated and recorded before the alarm latched).
@@ -329,19 +341,29 @@ fn pool_stuck_fault_drill_quarantines_reaccounts_and_reinstates() {
     // so sampling the shard metrics between batches reliably observes the
     // several-batch claim dip.
     config.queue_batches = 1;
-    let mut engine = Engine::spawn(config).unwrap();
+    let tap = Engine::spawn(config).unwrap().into_tap();
 
+    // Draw one batch at a time, sampling the accounted claim in between.
+    let mut batch = vec![0u8; BATCH_BYTES];
     let mut total = 0u64;
     let mut lowest_claim = f64::INFINITY;
-    while let Some(batch) = engine.stream_mut().next() {
-        let batch = batch.expect("the drill must not kill the stream");
-        total += batch.bytes.len() as u64;
-        let claim = engine.metrics().snapshot().per_shard[0].entropy_per_output_bit;
+    loop {
+        let drawn = tap.draw(&mut batch);
+        total += drawn as u64;
+        let claim = tap.metrics_snapshot().per_shard[0].entropy_per_output_bit;
         lowest_claim = lowest_claim.min(claim);
+        if drawn < batch.len() {
+            break;
+        }
     }
-    let snapshot = engine.metrics().snapshot();
-    let obs = std::sync::Arc::clone(engine.observatory());
-    engine.join().unwrap();
+    let snapshot = tap.metrics_snapshot();
+    tap.shutdown().unwrap();
+    assert_eq!(
+        tap.first_terminal_alarm(),
+        None,
+        "the drill must not kill the stream"
+    );
+    let obs = tap.observatory();
 
     // The stream delivered the full budget despite the fault.
     assert_eq!(total, 48 * 1024);
@@ -415,22 +437,24 @@ fn pool_with_all_children_faulted_fails_closed_through_the_engine() {
         .budget_bytes(Some(MEBIBYTE))
         .health(HealthConfig::default().without_startup_battery())
         .fault(Some(FaultPlan::parse("child=0,kind=stuck").unwrap()));
-    let mut engine = Engine::spawn(config).unwrap();
-    let result = engine.read_to_end();
-    engine.join().unwrap();
-    match result {
-        Err(EngineError::HealthAlarm { kind, reason, .. }) => {
-            assert_eq!(kind, AlarmKind::SourceFailure, "unexpected alarm: {reason}");
-            // Both fail-closed paths name the quarantine: "no serving children
-            // left" (drained over several batches) or "every serving child …
-            // was quarantined within one batch".
-            assert!(
-                reason.contains("quarantined"),
-                "unexpected reason: {reason}"
-            );
-        }
-        other => panic!("expected a terminal source failure, got {other:?}"),
-    }
+    let tap = Engine::spawn(config).unwrap().into_tap();
+    drain(&tap);
+    tap.shutdown().unwrap();
+    let alarm = tap
+        .first_terminal_alarm()
+        .expect("expected a terminal source failure");
+    assert_eq!(
+        alarm.kind,
+        AlarmKind::SourceFailure,
+        "unexpected alarm: {alarm}"
+    );
+    // Both fail-closed paths name the quarantine: "no serving children left"
+    // (drained over several batches) or "every serving child … was quarantined
+    // within one batch".
+    assert!(
+        alarm.reason.contains("quarantined"),
+        "unexpected reason: {alarm}"
+    );
 }
 
 /// `--audit-every-lane`: with the flag set, every shard runs its own pair of audit
@@ -450,13 +474,12 @@ fn audit_every_lane_publishes_both_lanes_for_every_shard() {
         .budget_bytes(Some(64 * 1024))
         // The lane coverage is the point here, not the startup battery.
         .health(HealthConfig::default().without_startup_battery());
-    let mut engine = Engine::spawn(config).unwrap();
-    let bytes = engine
-        .read_to_end()
-        .expect("an honest claim must not alarm");
-    let snap = engine.metrics().snapshot();
-    let obs = std::sync::Arc::clone(engine.observatory());
-    engine.join().unwrap();
+    let tap = Engine::spawn(config).unwrap().into_tap();
+    let bytes = drain(&tap);
+    let snap = tap.metrics_snapshot();
+    tap.shutdown().unwrap();
+    assert!(tap.alarms().is_empty(), "an honest claim must not alarm");
+    let obs = tap.observatory();
 
     assert_eq!(bytes.len(), 64 * 1024);
     assert_eq!(snap.alarms, 0);
@@ -498,35 +521,28 @@ fn audit_every_lane_catches_an_overclaim_on_a_non_zero_shard() {
         .audit_every_lane(true)
         .budget_bytes(Some(MEBIBYTE))
         .health(HealthConfig::default().without_startup_battery());
-    let mut engine = Engine::spawn(config).unwrap();
-    let result = engine.read_to_end();
+    let tap = Engine::spawn(config).unwrap().into_tap();
+    drain(&tap);
+    let snap = tap.metrics_snapshot();
+    tap.shutdown().unwrap();
+    let alarm = tap
+        .first_terminal_alarm()
+        .expect("expected an audit-overclaim alarm");
     assert!(
-        matches!(result,
-            Err(EngineError::HealthAlarm { kind: AlarmKind::AuditOverclaim, ref reason, .. })
-                if reason.contains("entropy audit")),
-        "expected an audit-overclaim alarm, got {result:?}"
+        alarm.kind == AlarmKind::AuditOverclaim && alarm.reason.contains("entropy audit"),
+        "expected an audit-overclaim alarm, got {alarm:?}"
     );
 
     // Every shard audits its own lane, so every shard alarms independently —
     // including the non-zero shards the default shard-0-only audit cannot see.
-    // Alarms are recorded by the workers at alarm time; wait for the laggards.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let reasons = engine.metrics().alarm_reasons();
-        if reasons
+    // The stream ended, so every worker has already recorded its alarm.
+    let alarms = tap.alarms();
+    assert!(
+        alarms
             .iter()
-            .any(|a| a.shard != 0 && a.kind == AlarmKind::AuditOverclaim)
-        {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no non-zero shard raised an audit-overclaim alarm: {reasons:?}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    let snap = engine.metrics().snapshot();
-    engine.join().unwrap();
+            .any(|a| a.shard != 0 && a.kind == AlarmKind::AuditOverclaim),
+        "no non-zero shard raised an audit-overclaim alarm: {alarms:?}"
+    );
     let overclaimed_shards: Vec<&str> = snap
         .audits
         .iter()

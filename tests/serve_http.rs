@@ -1330,6 +1330,21 @@ fn loadgen_closed_loop_sustains_concurrent_keepalive_clients() {
         "exact bytes under concurrency"
     );
     assert!(report.p50_ms.is_some() && report.p99_ms.is_some());
+
+    // One client past the server's 64-request keep-alive cap: the server closes
+    // the connection after request 64 and the client reconnects for the rest.
+    let mut config =
+        ptrng_serve::loadgen::LoadgenConfig::closed(server.addr.to_string(), "/random?bytes=32", 1);
+    config.requests_per_conn = 100;
+    let report = ptrng_serve::loadgen::run(&config);
+    assert!(report.ok(), "{}", report.to_json());
+    assert_eq!(report.requests, 100, "{}", report.to_json());
+    assert_eq!(report.errors, 0, "{}", report.to_json());
+    assert_eq!(
+        report.connected, 1,
+        "reconnects are not rendezvous connections"
+    );
+    assert_eq!(report.bytes_read, 100 * 32);
 }
 
 #[test]

@@ -11,8 +11,11 @@
 //! seed aside) a 2⁻⁶⁴-scale event — any duplication or loss by the tap moves whole
 //! kilobyte batches and is caught immediately.
 
+mod common;
+
 use std::collections::HashMap;
 
+use common::tap::drain;
 use ptrng_engine::fault::FaultPlan;
 use ptrng_engine::health::HealthConfig;
 use ptrng_engine::metrics::AlarmKind;
@@ -158,12 +161,13 @@ fn concurrent_draws_survive_a_quarantine_and_reinstatement_without_loss_or_repla
     };
 
     // Reference run: the deterministic published stream across the whole cycle.
-    let mut reference = Engine::spawn(config()).unwrap();
-    let mut published = Vec::new();
-    for batch in reference.stream_mut() {
-        published.extend_from_slice(&batch.expect("the drill is non-terminal").bytes);
-    }
-    reference.join().unwrap();
+    let reference = Engine::spawn(config()).unwrap().into_tap();
+    let published = drain(&reference);
+    reference.shutdown().unwrap();
+    assert!(
+        reference.alarms().iter().all(|a| !a.kind.is_terminal()),
+        "the drill is non-terminal"
+    );
     assert_eq!(published.len(), BUDGET);
 
     // Concurrent run: racing consumers across the quarantine and reinstatement.
@@ -216,20 +220,17 @@ fn concurrent_draws_survive_a_shard_alarm_without_loss_or_replay() {
             .health(HealthConfig::default().without_startup_battery())
     };
 
-    // Reference run, drained single-threaded with shard attribution: per-shard
-    // pre-alarm output is deterministic even though interleaving is not.
-    let mut reference = Engine::spawn(config()).unwrap();
-    let mut per_shard: Vec<Vec<u8>> = vec![Vec::new(); 2];
-    let mut alarms = 0usize;
-    for batch in reference.stream_mut() {
-        match batch {
-            Ok(batch) => per_shard[batch.shard].extend_from_slice(&batch.bytes),
-            Err(_) => alarms += 1,
-        }
-    }
-    reference.join().unwrap();
-    assert_eq!(alarms, 2, "both shards alarm in the reference run");
-    let reference_total: usize = per_shard.iter().map(Vec::len).sum();
+    // Reference run, drained single-threaded: per-shard pre-alarm output is
+    // deterministic even though interleaving is not, and the comparison below
+    // is a word multiset, so the interleaving does not matter.
+    let reference = Engine::spawn(config()).unwrap().into_tap();
+    let published = drain(&reference);
+    reference.shutdown().unwrap();
+    assert_eq!(
+        reference.alarm_count(),
+        2,
+        "both shards alarm in the reference run"
+    );
 
     // Concurrent run: racing consumers across the alarm events.
     let tap = Engine::spawn(config()).unwrap().into_tap();
@@ -242,12 +243,10 @@ fn concurrent_draws_survive_a_shard_alarm_without_loss_or_replay() {
 
     // Exactly the reference bytes: pre-alarm output is neither lost nor replayed.
     let total: usize = drawn.iter().map(Vec::len).sum();
-    assert_eq!(total, reference_total);
+    assert_eq!(total, published.len());
     let mut expected: HashMap<u64, i64> = HashMap::new();
-    for shard in &per_shard {
-        for word in words(shard) {
-            *expected.entry(word).or_insert(0) += 1;
-        }
+    for word in words(&published) {
+        *expected.entry(word).or_insert(0) += 1;
     }
     check_embedding(&mut expected, &drawn);
     assert!(
