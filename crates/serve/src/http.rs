@@ -413,6 +413,34 @@ pub fn encode_chunk(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(b"\r\n");
 }
 
+/// Appends one chunked-transfer frame whose body `fill` writes in place, with
+/// no scratch buffer and no copy: `fill` gets `len` writable bytes behind the
+/// chunk header and returns how many it wrote.  A short fill is framed with
+/// exactly the written bytes; a fill of 0 appends nothing (a zero-length chunk
+/// would terminate the message).  Returns the number of bytes framed.
+pub fn encode_chunk_with(
+    out: &mut Vec<u8>,
+    len: usize,
+    fill: impl FnOnce(&mut [u8]) -> usize,
+) -> usize {
+    let head = out.len();
+    write!(out, "{len:x}\r\n").expect("buffer writes are infallible");
+    let body = out.len();
+    out.resize(body + len, 0);
+    let filled = fill(&mut out[body..]).min(len);
+    if filled == 0 {
+        out.truncate(head);
+        return 0;
+    }
+    out.truncate(body + filled);
+    if filled < len {
+        // Only a stream's last draw comes up short; re-frame it to its length.
+        out.splice(head..body, format!("{filled:x}\r\n").into_bytes());
+    }
+    out.extend_from_slice(b"\r\n");
+    filled
+}
+
 /// Appends the terminating zero-length chunk — a chunked message assembled with
 /// [`encode_chunk`] is not complete until this trailer is queued.
 pub fn encode_chunk_end(out: &mut Vec<u8>) {
@@ -562,6 +590,31 @@ mod tests {
         assert!(text.starts_with("4\r\nabcd\r\n"), "{text}");
         assert!(text.contains("10\r\n"), "hex sizes: {text}");
         assert!(text.ends_with("0\r\n\r\n"));
+    }
+
+    #[test]
+    fn in_place_chunks_frame_exactly_the_filled_bytes() {
+        let (mut copied, mut in_place) = (Vec::new(), Vec::new());
+        encode_chunk(&mut copied, &[7u8; 300]);
+        let filled = encode_chunk_with(&mut in_place, 300, |buf| {
+            buf.fill(7);
+            buf.len()
+        });
+        assert_eq!(
+            (filled, &in_place),
+            (300, &copied),
+            "full fills frame as before"
+        );
+
+        // A short fill re-frames to the drawn length; an empty one adds nothing.
+        let mut out = b"head".to_vec();
+        let short = encode_chunk_with(&mut out, 300, |buf| {
+            buf[..5].copy_from_slice(b"abcde");
+            5
+        });
+        assert_eq!(short, 5);
+        assert_eq!(encode_chunk_with(&mut out, 300, |_| 0), 0);
+        assert_eq!(out, b"head5\r\nabcde\r\n");
     }
 
     #[test]

@@ -25,6 +25,7 @@ pub struct ServerMetrics {
     rate_limited: AtomicU64,
     selftests: AtomicU64,
     selftest_overclaims: AtomicU64,
+    accept_backoffs: AtomicU64,
     responses_by_status: Mutex<BTreeMap<u16, u64>>,
 }
 
@@ -64,6 +65,11 @@ impl ServerMetrics {
         if overclaim {
             self.selftest_overclaims.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Counts one accept pause on descriptor or memory exhaustion.
+    pub fn record_accept_backoff(&self) {
+        self.accept_backoffs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total entropy body bytes served so far.
@@ -306,6 +312,12 @@ pub fn render_prometheus_into(
         MetricKind::Counter,
         server.rate_limited.load(Ordering::Relaxed),
     );
+    enc.scalar(
+        "ptrng_http_accept_backoffs_total",
+        "Listener pauses after accept hit descriptor or memory exhaustion.",
+        MetricKind::Counter,
+        server.accept_backoffs.load(Ordering::Relaxed),
+    );
     enc.family(
         "ptrng_http_responses_total",
         "Responses by HTTP status code.",
@@ -355,6 +367,16 @@ pub fn render_prometheus_into(
             drbg.seed_bits_debited,
         );
     }
+    enc.family(
+        "ptrng_sha256_backend_info",
+        "SHA-256 compression backend in use (DRBG and sha256 conditioning).",
+        MetricKind::Gauge,
+    );
+    enc.sample(
+        "ptrng_sha256_backend_info",
+        &[("backend", ptrng_trng::sha256::backend())],
+        1,
+    );
 }
 
 #[cfg(test)]
@@ -424,6 +446,7 @@ mod tests {
         server.record_bytes_served(4096);
         server.record_selftest(false);
         server.record_selftest(true);
+        server.record_accept_backoff();
 
         let drbg = DrbgSnapshot {
             generates: 5,
@@ -464,6 +487,11 @@ mod tests {
             "ptrng_drbg_bytes_total 65536",
             "ptrng_drbg_bytes_since_reseed 1024",
             "ptrng_drbg_seed_bits_debited_total 888",
+            "ptrng_http_accept_backoffs_total 1",
+            &format!(
+                "ptrng_sha256_backend_info{{backend=\"{}\"}} 1",
+                ptrng_trng::sha256::backend()
+            ),
         ] {
             assert!(text.contains(family), "missing `{family}` in:\n{text}");
         }
@@ -472,9 +500,14 @@ mod tests {
         assert!(text.contains("# HELP ptrng_serving "));
         assert!(text.contains("# TYPE ptrng_drbg_bytes_since_reseed gauge"));
 
-        // Without the /random tier no DRBG family is exported.
+        assert!(text.contains("# TYPE ptrng_sha256_backend_info gauge"));
+
+        // Without the /random tier no DRBG family is exported; the SHA-256
+        // backend still is (the sha256 conditioner uses it).
         let mut enc = TextEncoder::new();
         render_prometheus_into(&mut enc, &engine, &server, 0.9973, 2, true, None);
-        assert!(!enc.finish().contains("ptrng_drbg_"));
+        let text = enc.finish();
+        assert!(!text.contains("ptrng_drbg_"));
+        assert!(text.contains("ptrng_sha256_backend_info{backend="));
     }
 }

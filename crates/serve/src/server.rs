@@ -70,7 +70,7 @@ use serde::{Serialize, Value};
 use crate::conn::{ConnState, Connection, ReadOutcome, StreamBody, StreamTier, READ_BURST_BYTES};
 use crate::event::{Poller, Readiness};
 use crate::http::{
-    encode_chunk, encode_chunk_end, write_response, ChunkedWriter, Request, ResponseHead,
+    encode_chunk_end, encode_chunk_with, write_response, ChunkedWriter, Request, ResponseHead,
 };
 use crate::limiter::{ConnectionGate, RateLimiter};
 use crate::metrics::{render_prometheus_into, ServerMetrics};
@@ -83,6 +83,12 @@ const LOOP_TICK: Duration = Duration::from_millis(25);
 /// Maximum connections accepted per loop iteration, so one accept flood cannot
 /// starve connections that are mid-request.
 const ACCEPT_BURST: usize = 64;
+
+/// `accept(2)` errnos that mean the process or the system is out of a resource
+/// (descriptors, socket buffers, kernel memory) rather than that the listener
+/// broke: EMFILE, ENFILE, ENOBUFS and ENOMEM, in Linux numbering.  The loop
+/// backs off from the listener for one tick instead of exiting.
+const ACCEPT_EXHAUSTION_ERRNOS: [i32; 4] = [24, 23, 105, 12];
 
 /// `Retry-After` advice on the 503 entropy-deficit refusal: the deficit is a
 /// configuration property, so it will not clear on its own — but an operator
@@ -464,6 +470,7 @@ impl Server {
             write_timeout: self.write_timeout,
             high_water: 4 * self.state.chunk_bytes,
             draining: false,
+            accept_resume: None,
         };
         let outcome = event_loop.run();
         // Dropping the loop closes the listener (new connects are refused) and the
@@ -573,41 +580,31 @@ fn worker_loop(
 /// worker pinned for the stream's lifetime.
 fn pump(state: &SharedState, conn: u64, body: StreamBody) -> WorkDone {
     let budget = (4 * state.chunk_bytes as u64).min(body.remaining);
-    let mut scratch = vec![0u8; state.chunk_bytes.min(budget as usize)];
     let mut out = Vec::with_capacity(budget as usize + 64);
     let mut remaining = body.remaining;
     let mut pumped = 0u64;
     let mut abort = false;
     while pumped < budget && remaining > 0 {
-        let want = (scratch.len() as u64).min(budget - pumped).min(remaining) as usize;
-        let drawn = match body.tier {
-            StreamTier::Entropy => {
-                let Supply::Serving(tap) = &state.supply else {
-                    abort = true;
-                    break;
-                };
-                let drawn = tap.draw(&mut scratch[..want]);
-                if drawn == 0 {
-                    // Every shard terminated (alarms).
-                    abort = true;
-                    break;
-                }
-                drawn
-            }
-            StreamTier::Random => {
-                let Some(expanded) = &state.expanded else {
-                    abort = true;
-                    break;
-                };
-                if expanded.draw(&mut scratch[..want]).is_err() {
-                    // A reseed came due mid-stream and could not be funded.
-                    abort = true;
-                    break;
-                }
-                want
-            }
-        };
-        encode_chunk(&mut out, &scratch[..drawn]);
+        let want = (state.chunk_bytes as u64)
+            .min(budget - pumped)
+            .min(remaining) as usize;
+        let drawn = encode_chunk_with(&mut out, want, |buf| match body.tier {
+            StreamTier::Entropy => match &state.supply {
+                // 0 once every shard has terminated (alarms).
+                Supply::Serving(tap) => tap.draw(buf),
+                _ => 0,
+            },
+            StreamTier::Random => match &state.expanded {
+                // An error is a reseed that came due mid-stream and could not
+                // be funded.
+                Some(expanded) if expanded.draw(buf).is_ok() => buf.len(),
+                _ => 0,
+            },
+        });
+        if drawn == 0 {
+            abort = true;
+            break;
+        }
         state.metrics.record_bytes_served(drawn as u64);
         pumped += drawn as u64;
         remaining -= drawn as u64;
@@ -649,6 +646,10 @@ struct EventLoop {
     /// Shutdown observed: the listener is parked, idle connections are closed,
     /// and the loop ends once the map drains.
     draining: bool,
+    /// After an exhaustion error on `accept`, listener interest is dropped until
+    /// this instant (one tick), while established connections keep being served
+    /// and releasing descriptors.
+    accept_resume: Option<Instant>,
 }
 
 impl EventLoop {
@@ -679,8 +680,9 @@ impl EventLoop {
 
             let now = Instant::now();
             self.poller.clear();
+            let accepting = !self.draining && self.accept_resume.is_none_or(|at| now >= at);
             let listener_slot =
-                (!self.draining).then(|| self.poller.push(self.listener.as_raw_fd(), true, false));
+                accepting.then(|| self.poller.push(self.listener.as_raw_fd(), true, false));
             let wake_slot = self.poller.push(self.wake_rx.as_raw_fd(), true, false);
             let mut conn_slots: Vec<(u64, usize)> = Vec::with_capacity(self.conns.len());
             for (id, conn) in &self.conns {
@@ -774,7 +776,9 @@ impl EventLoop {
     }
 
     /// Accepts up to one burst of pending connections, applying the hard
-    /// connection limit and the per-IP gate.
+    /// connection limit and the per-IP gate.  Descriptor or memory exhaustion
+    /// ends the burst and pauses accepting for one tick; it is counted, never
+    /// fatal.
     fn accept_burst(&mut self, now: Instant) -> Result<()> {
         for _ in 0..ACCEPT_BURST {
             match self.listener.accept() {
@@ -819,6 +823,14 @@ impl EventLoop {
                     ) =>
                 {
                     continue
+                }
+                Err(e)
+                    if e.raw_os_error()
+                        .is_some_and(|errno| ACCEPT_EXHAUSTION_ERRNOS.contains(&errno)) =>
+                {
+                    self.state.metrics.record_accept_backoff();
+                    self.accept_resume = Some(now + LOOP_TICK);
+                    break;
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -1390,18 +1402,24 @@ fn random(
         return routed;
     }
 
-    // The first chunk is drawn before the response head goes out, so a reseed
-    // refusal surfaces as a clean 503 instead of a truncated 200.
+    // The first chunk is drawn before the response goes out: on a reseed
+    // refusal the buffered head is dropped and a clean 503 replaces the 200.
     let first = (state.chunk_bytes as u64).min(bytes) as usize;
-    let mut buffer = vec![0u8; first];
-    if let Err(error) = expanded.draw(&mut buffer) {
-        return drbg_refusal(state, &error, keep_alive);
-    }
-    state.metrics.record_response(200);
     routed.bytes.reserve(first + 128);
     ChunkedWriter::start(&mut routed.bytes, &head, keep_alive)
         .expect("buffer writes are infallible");
-    encode_chunk(&mut routed.bytes, &buffer);
+    let mut refused = None;
+    encode_chunk_with(&mut routed.bytes, first, |buf| match expanded.draw(buf) {
+        Ok(()) => buf.len(),
+        Err(error) => {
+            refused = Some(error);
+            0
+        }
+    });
+    if let Some(error) = refused {
+        return drbg_refusal(state, &error, keep_alive);
+    }
+    state.metrics.record_response(200);
     state.metrics.record_bytes_served(first as u64);
     let remaining = bytes - first as u64;
     if remaining == 0 {

@@ -18,7 +18,10 @@
 //!   [`HashDrbg::reseed`]);
 //! * `Hashgen` (§10.1.1.4) expands output one digest per 32 bytes — a 55-byte
 //!   message pads to exactly one SHA-256 block, so the hot loop is a single
-//!   [`crate::sha256::compress_block`] per 32 output bytes;
+//!   [`crate::sha256::compress_block`] per 32 output bytes, which runs on the
+//!   SHA-NI instructions where the CPU has them and on the scalar code
+//!   otherwise (same bytes either way; see
+//!   [`crate::sha256`'s backends](crate::sha256#backends));
 //! * per-request cap 2^19 bits ([`MAX_REQUEST_BYTES`]) and the reseed interval
 //!   (≤ 2^48, [`MAX_RESEED_INTERVAL`]) are enforced, not advisory;
 //! * uninstantiate zeroizes the working state ([`HashDrbg::uninstantiate`],
