@@ -1,6 +1,7 @@
 //! PERF benchmarks for the block-based generation pipeline introduced with the FFT
-//! overlap-save flicker path: each group pits the fast block implementation against the
-//! retained scalar/windowed reference so regressions in either direction are visible.
+//! overlap-save flicker path.  The flicker group pits the FFT block path against the
+//! scalar FIR path that `fill_block` still takes for small blocks, so the crossover
+//! stays visible.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -10,7 +11,7 @@ use ptrng_engine::pool::ConditionerSpec;
 use ptrng_engine::source::{JitterProfile, THERMAL_SWEEP_DEPTHS};
 use ptrng_noise::flicker::FlickerNoise;
 use ptrng_noise::NoiseSource;
-use ptrng_stats::sn::{sigma2_n_sweep, sigma2_n_sweep_windowed, SnSampling};
+use ptrng_stats::sn::{sigma2_n_sweep, SnSampling};
 use ptrng_trng::ero::{EroTrng, EroTrngConfig};
 
 fn bench_flicker_fill_block(c: &mut Criterion) {
@@ -119,11 +120,6 @@ fn bench_sigma2_n_sweep(c: &mut Criterion) {
     let depths = THERMAL_SWEEP_DEPTHS;
     group.bench_function("fused_prefix", |b| {
         b.iter(|| sigma2_n_sweep(&jitter, &depths, SnSampling::Overlapping).expect("sweep fits"))
-    });
-    group.bench_function("windowed_reference", |b| {
-        b.iter(|| {
-            sigma2_n_sweep_windowed(&jitter, &depths, SnSampling::Overlapping).expect("sweep fits")
-        })
     });
     group.finish();
 }

@@ -5,11 +5,10 @@
 //! physically-simulated eRO-TRNG shows the cost of the edge-level simulation itself,
 //! at the CLI-default division 16 and the smaller division 8.
 //!
-//! Trajectory (1-CPU container, single shard, `ero:16:strong`): PR 1's per-sample
-//! scalar pipeline streamed ~0.09 MB/s; the PR 2 block pipeline (telescoped thermal
-//! sampler + incremental bit packing + zero-copy post-processing) streams ~1.1 MB/s.
-//! `cargo run --release -p ptrng-bench --bin engine_snapshot` regenerates the numbers
-//! into `BENCH_ENGINE.json`.
+//! These time the engine alone.  End-to-end figures, with the server, a host
+//! fingerprint and a per-layer breakdown, come from the repo benchmark
+//! (`BENCHMARK.json`): `bash servebench/run.sh --workload entropy-stream --seed 1
+//! --seconds 30 --trace 0`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

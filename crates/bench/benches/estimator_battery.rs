@@ -8,15 +8,16 @@
 //! battery on a biased stream (degenerate inputs shift work into the tuple
 //! estimators' repeated-substring scans).
 //!
-//! `cargo run --release -p ptrng-bench --bin engine_snapshot` records the headline
-//! numbers into `BENCH_ENGINE.json` (`estimators` block, schema v4).
+//! The audit's cost in the running daemon is measured end to end by the
+//! `entropy-stream` workload of `BENCHMARK.json`; a traced run (`bash
+//! servebench/run.sh --workload entropy-stream --seed 1 --seconds 10 --trace 1`)
+//! reports `ais.battery_ms` and `self.engine.audit_us`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ptrng_ais::estimators::tuple::t_tuple_and_lrs_estimates_reference;
 use ptrng_ais::estimators::{
     collision_estimate, compression_estimate, counting_estimates, lag_estimate, markov_estimate,
     mcv_estimate, multi_mcw_estimate, t_tuple_and_lrs_estimates, EstimatorBattery,
@@ -48,12 +49,6 @@ fn estimator_sweep(c: &mut Criterion) {
     // one unit, exactly as the battery runs it.
     group.bench_function("t_tuple_and_lrs", |b| {
         b.iter(|| t_tuple_and_lrs_estimates(&window).expect("estimators run"));
-    });
-    // Regression guard for the suffix-array rewrite: the per-width hash-map scan
-    // it replaced stays benchmarked so a future change can't silently hand the
-    // win back (the SA path is the `t_tuple_and_lrs` entry above).
-    group.bench_function("t_tuple_and_lrs_reference", |b| {
-        b.iter(|| t_tuple_and_lrs_estimates_reference(&window).expect("estimators run"));
     });
     // The streaming audit's steady-state cost on a cadenced lane: the three
     // counting members in one fused pass.

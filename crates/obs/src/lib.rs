@@ -31,7 +31,7 @@
 //! use std::sync::Arc;
 //!
 //! let clock = ObsClock::new();
-//! let recorder = Arc::new(FlightRecorder::new(clock, 64, true));
+//! let recorder = Arc::new(FlightRecorder::new(clock, 64));
 //! let histogram = Arc::new(LogLinearHistogram::new());
 //! let probe = Probe::new(Arc::clone(&histogram), EventKind::BatchGenerated)
 //!     .with_recorder(Arc::clone(&recorder), Some(0));
@@ -72,4 +72,4 @@ pub use histogram::{
 pub use journal::Journal;
 pub use postmortem::{Postmortem, PostmortemStore};
 pub use probe::Probe;
-pub use recorder::{FlightRecorder, ObsClock};
+pub use recorder::{FlightRecorder, ObsClock, RING_EVENTS};

@@ -62,7 +62,7 @@ use ptrng_engine::EngineError;
 use ptrng_obs::probe::elapsed_ns;
 use ptrng_obs::{
     Event, EventKind, FlightRecorder, Journal, LogLinearHistogram, ObsClock, Postmortem, Probe,
-    TextEncoder, DEFAULT_TIME_BOUNDS_NS,
+    TextEncoder, DEFAULT_TIME_BOUNDS_NS, RING_EVENTS,
 };
 use ptrng_trng::conditioning::EntropyLedger;
 use serde::{Serialize, Value};
@@ -89,6 +89,41 @@ const ACCEPT_BURST: usize = 64;
 /// broke: EMFILE, ENFILE, ENOBUFS and ENOMEM, in Linux numbering.  The loop
 /// backs off from the listener for one tick instead of exiting.
 const ACCEPT_EXHAUSTION_ERRNOS: [i32; 4] = [24, 23, 105, 12];
+
+/// `accept(2)` errnos that belong to the connection being accepted, not to the
+/// listener: Linux passes the new socket's pending network errors through
+/// `accept`, and EPERM when a firewall rule refuses the connection.  The loop
+/// drops that connection and accepts the next, as for ECONNABORTED.  ENETDOWN,
+/// EPROTO, ENOPROTOOPT, EHOSTDOWN, ENONET, EHOSTUNREACH, EOPNOTSUPP, ENETUNREACH
+/// and EPERM, in Linux numbering.
+const ACCEPT_PER_CONNECTION_ERRNOS: [i32; 9] = [100, 71, 92, 112, 64, 113, 95, 101, 1];
+
+/// What the accept loop does after one failed `accept(2)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptFailure {
+    /// No connection is pending: the burst ends.
+    Drained,
+    /// Only the connection being accepted failed: accept the next one.
+    Skip,
+    /// Descriptors or memory ran out: pause accepting for one tick.
+    Backoff,
+    /// The listener itself failed: the loop exits with the error.
+    Fatal,
+}
+
+fn classify_accept_error(e: &std::io::Error) -> AcceptFailure {
+    use std::io::ErrorKind;
+    let errno_in = |list: &[i32]| e.raw_os_error().is_some_and(|errno| list.contains(&errno));
+    match e.kind() {
+        ErrorKind::WouldBlock => AcceptFailure::Drained,
+        ErrorKind::Interrupted | ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset => {
+            AcceptFailure::Skip
+        }
+        _ if errno_in(&ACCEPT_PER_CONNECTION_ERRNOS) => AcceptFailure::Skip,
+        _ if errno_in(&ACCEPT_EXHAUSTION_ERRNOS) => AcceptFailure::Backoff,
+        _ => AcceptFailure::Fatal,
+    }
+}
 
 /// `Retry-After` advice on the 503 entropy-deficit refusal: the deficit is a
 /// configuration property, so it will not clear on its own — but an operator
@@ -353,11 +388,7 @@ impl Server {
             Supply::Refusing { .. } => None,
         };
         let clock = obs.as_ref().map_or_else(ObsClock::new, |obs| obs.clock());
-        let http_recorder = Arc::new(FlightRecorder::new(
-            clock,
-            config.engine.obs.ring_events.max(1),
-            config.engine.obs.recorder,
-        ));
+        let http_recorder = Arc::new(FlightRecorder::new(clock, RING_EVENTS));
         let http_probe = Probe::new(Arc::new(LogLinearHistogram::new()), EventKind::HttpRequest)
             .with_recorder(Arc::clone(&http_recorder), None);
         let listener = TcpListener::bind(&config.listen)?;
@@ -776,9 +807,10 @@ impl EventLoop {
     }
 
     /// Accepts up to one burst of pending connections, applying the hard
-    /// connection limit and the per-IP gate.  Descriptor or memory exhaustion
-    /// ends the burst and pauses accepting for one tick; it is counted, never
-    /// fatal.
+    /// connection limit and the per-IP gate.  An error that belongs to the
+    /// connection being accepted drops only that connection.  Descriptor or memory
+    /// exhaustion ends the burst and pauses accepting for one tick; it is counted,
+    /// never fatal.
     fn accept_burst(&mut self, now: Instant) -> Result<()> {
         for _ in 0..ACCEPT_BURST {
             match self.listener.accept() {
@@ -813,26 +845,16 @@ impl EventLoop {
                     self.conns
                         .insert(id, Connection::new(stream, peer, now + self.header_timeout));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::Interrupted
-                            | std::io::ErrorKind::ConnectionAborted
-                            | std::io::ErrorKind::ConnectionReset
-                    ) =>
-                {
-                    continue
-                }
-                Err(e)
-                    if e.raw_os_error()
-                        .is_some_and(|errno| ACCEPT_EXHAUSTION_ERRNOS.contains(&errno)) =>
-                {
-                    self.state.metrics.record_accept_backoff();
-                    self.accept_resume = Some(now + LOOP_TICK);
-                    break;
-                }
-                Err(e) => return Err(e.into()),
+                Err(e) => match classify_accept_error(&e) {
+                    AcceptFailure::Drained => break,
+                    AcceptFailure::Skip => continue,
+                    AcceptFailure::Backoff => {
+                        self.state.metrics.record_accept_backoff();
+                        self.accept_resume = Some(now + LOOP_TICK);
+                        break;
+                    }
+                    AcceptFailure::Fatal => return Err(e.into()),
+                },
             }
         }
         Ok(())
@@ -1659,4 +1681,33 @@ fn json_routed(
 ) -> Routed {
     let head = ResponseHead::new(status).header("Content-Type", "application/json");
     finish(state, &head, body.as_bytes(), keep_alive, head_only)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_errors_skip_back_off_or_return() {
+        let classify = |errno| classify_accept_error(&std::io::Error::from_raw_os_error(errno));
+        // ENETDOWN, EPROTO, ENOPROTOOPT, EHOSTDOWN, ENONET, EHOSTUNREACH,
+        // EOPNOTSUPP, ENETUNREACH, EPERM; then EINTR, ECONNABORTED, ECONNRESET.
+        for errno in [100, 71, 92, 112, 64, 113, 95, 101, 1, 4, 103, 104] {
+            assert_eq!(classify(errno), AcceptFailure::Skip, "errno {errno}");
+        }
+        // EMFILE, ENFILE, ENOBUFS, ENOMEM.
+        for errno in [24, 23, 105, 12] {
+            assert_eq!(classify(errno), AcceptFailure::Backoff, "errno {errno}");
+        }
+        // EAGAIN.
+        assert_eq!(classify(11), AcceptFailure::Drained);
+        // EBADF, EINVAL, ENOTSOCK: the listener itself is broken.
+        for errno in [9, 22, 88] {
+            assert_eq!(classify(errno), AcceptFailure::Fatal, "errno {errno}");
+        }
+        assert_eq!(
+            classify_accept_error(&std::io::Error::other("listener gone")),
+            AcceptFailure::Fatal
+        );
+    }
 }

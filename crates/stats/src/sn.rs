@@ -15,7 +15,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::descriptive::sample_variance;
 use crate::{ensure_finite, ensure_len, Result, StatsError};
 
 /// One point of a `σ²_N` vs `N` sweep.
@@ -278,8 +277,8 @@ fn sigma2_n_over_prefix(prefix: &[f64], n: usize, stride: usize) -> Option<(f64,
 /// The prefix sums of the series are built once and every depth is reduced in a single
 /// fused pass over them (no per-depth `s_N` vector, no per-depth finiteness re-scan), so
 /// a full multi-depth sweep costs `O(len + Σ windows)` instead of the
-/// `O(len·depths)`-with-allocations of the windowed reference implementation
-/// ([`sigma2_n_sweep_windowed`]).
+/// `O(len·depths)`-with-allocations of the windowed reference implementation the
+/// tests compare it against.
 ///
 /// # Errors
 ///
@@ -354,13 +353,10 @@ pub fn sigma2_n_sweep(
 /// Reference implementation of [`sigma2_n_sweep`]: materializes the `s_N` window series
 /// for every depth and takes its two-pass sample variance.
 ///
-/// Kept for equivalence testing and benchmarking of the fused prefix-sum sweep; prefer
-/// [`sigma2_n_sweep`] everywhere else.
-///
-/// # Errors
-///
-/// Same conditions as [`sigma2_n_sweep`].
-pub fn sigma2_n_sweep_windowed(
+/// Kept as the equivalence oracle of the fused prefix-sum sweep, so it is compiled for
+/// tests only.
+#[cfg(test)]
+fn sigma2_n_sweep_windowed(
     jitter: &[f64],
     ns: &[usize],
     sampling: SnSampling,
@@ -382,7 +378,7 @@ pub fn sigma2_n_sweep_windowed(
         }
         match sn_series(jitter, n, sampling) {
             Ok(s) if s.len() >= 2 => {
-                let var = sample_variance(&s)?;
+                let var = crate::descriptive::sample_variance(&s)?;
                 out.push(Sigma2NPoint {
                     n,
                     sigma2_n: var,
